@@ -16,6 +16,7 @@
 #include "core/experiment.h"
 #include "scenario/registry.h"
 #include "scenario/sweep.h"
+#include "workload/closed_loop.h"
 
 using namespace dcm;
 
@@ -113,9 +114,12 @@ int main() {
 
       // Build manually to override the LB policy.
       sim::Engine engine;
-      auto app_config = core::rubbos_app_config(config.hardware, config.soft, config.seed);
-      for (auto& tier : app_config.tiers) tier.lb_policy = policy;
-      ntier::NTierApp app(engine, app_config);
+      const ntier::ServiceGraph chain =
+          core::build_service_graph(config.topology, config.hardware, config.soft);
+      std::vector<ntier::ServiceNode> nodes = chain.nodes();
+      for (auto& node : nodes) node.tier.lb_policy = policy;
+      ntier::NTierApp app(engine, ntier::ServiceGraph(std::move(nodes), chain.edges()),
+                          config.seed);
       const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
       auto generator = workload::make_rubbos_clients(engine, app, catalog, 400);
       generator->start();

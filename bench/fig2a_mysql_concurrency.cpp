@@ -23,13 +23,18 @@ struct Point {
 Point measure(int concurrency) {
   using namespace dcm;
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::mysql_only_app_config(/*worker_cap=*/concurrency));
+  // A one-node db graph whose worker cap matches the offered concurrency.
+  core::TopologySpec mysql_only;
+  mysql_only.kind = core::TopologySpec::Kind::kGraph;
+  mysql_only.nodes = {{"mysql", "db"}};
+  ntier::NTierApp app(engine, core::build_service_graph(mysql_only, {1, 1, 1}, {}, 1), 1);
+  app.tier(0).set_thread_pool_size(concurrency);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
   workload::ClosedLoopConfig config;
   config.users = concurrency;
   config.seed = 1000 + static_cast<uint64_t>(concurrency);
-  workload::ClosedLoopGenerator generator(engine, app, core::mysql_query_factory(catalog),
-                                          std::move(config));
+  workload::ClosedLoopGenerator generator(
+      engine, app, workload::graph_request_factory(catalog, *app.graph()), std::move(config));
   generator.start();
   const double duration = 60.0;
   engine.run_until(sim::from_seconds(duration));

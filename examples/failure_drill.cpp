@@ -25,7 +25,8 @@ struct DrillOutcome {
 
 DrillOutcome run_drill(bool with_controller) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 2, 2}, {1000, 100, 40}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 2, 2}, {1000, 100, 40}), 1);
   bus::Broker broker;
   ntier::MonitorFleet fleet(engine, app, broker);
   std::unique_ptr<control::Ec2AutoScaleController> controller;

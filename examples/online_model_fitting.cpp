@@ -20,7 +20,8 @@ int main() {
 
   sim::Engine engine;
   // Wide-open pools so the ramp explores a broad concurrency range.
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 400, 400}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 400, 400}), 1);
   bus::Broker broker;
   ntier::MonitorFleet fleet(engine, app, broker);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();

@@ -57,7 +57,6 @@ int DcmController::db_tier_nb() const {
 
 model::BottleneckReport DcmController::rank_graph_nodes() const {
   const ntier::ServiceGraph* graph = app().graph();
-  if (graph == nullptr) return {};
   const std::vector<double>& visits = graph->visit_ratios();
   std::vector<model::TierDemand> demands;
   demands.reserve(graph->node_count());

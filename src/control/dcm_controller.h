@@ -71,9 +71,7 @@ class DcmController final : public ControllerBase {
   /// current VM allocation: per-node capacity γ·K_m/(V_m·S0_m) with visit
   /// ratios path-multiplied over the DAG and K_m = the node's active VM
   /// count. The report's bottleneck_tier is the node index DCM considers
-  /// the system's capacity limiter (lowest capacity). Only valid for apps
-  /// built from a ServiceGraph; returns a report with bottleneck_tier = -1
-  /// for legacy chain apps.
+  /// the system's capacity limiter (lowest capacity).
   model::BottleneckReport rank_graph_nodes() const;
 
   /// True while the watchdog has soft-resource actuation frozen.

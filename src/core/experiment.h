@@ -85,8 +85,7 @@ struct ExperimentConfig {
   HardwareConfig hardware;
   SoftAllocation soft;
   /// Deployment shape (default: the 3-tier chain). Every kind lowers to a
-  /// ServiceGraph; the chains are degenerate DAGs that reproduce the legacy
-  /// per-depth wiring — and its result digests — bit-for-bit.
+  /// ServiceGraph; the chains are degenerate DAGs with edges in depth order.
   TopologySpec topology;
   WorkloadSpec workload;
   ControllerSpec controller;

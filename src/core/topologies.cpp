@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/check.h"
-
 namespace dcm::core {
 
 namespace {
@@ -15,27 +13,9 @@ namespace {
   throw std::runtime_error("topology: " + message);
 }
 
-/// The HAProxy pass-through tier of the 4-tier layout: forwarding work only,
-/// effectively unbounded event loop, never scaled (as in the paper).
-ntier::TierConfig haproxy_tier_config() {
-  ntier::TierConfig lb;
-  lb.name = "haproxy";
-  lb.server.cpu.params = {5.0e-5, 1.0e-7, 1.0e-10};  // ~50 µs per forward
-  lb.server.cpu.thrash_threshold = 1e18;
-  lb.server.cpu.thrash_factor = 0.0;
-  lb.server.max_threads = 10000;
-  lb.server.downstream_connections = 0;
-  lb.server.pre_fraction = 0.5;
-  lb.server.demand_cv = 0.05;
-  lb.initial_vms = 1;
-  lb.min_vms = 1;
-  lb.max_vms = 1;
-  return lb;
-}
-
-/// Per-role tier template for kGraph nodes. Web/app/db reuse the calibrated
-/// rubbos tiers; lb is the HAProxy pass-through; cache is a memcached-like
-/// in-memory store (scalable, single CPU phase).
+/// Per-role tier template for graph nodes. Web/app/db are the calibrated
+/// RUBBoS tiers (Apache, Tomcat, MySQL); lb is the HAProxy pass-through;
+/// cache is a memcached-like in-memory store (scalable, single CPU phase).
 ntier::TierConfig graph_node_tier(const std::string& name, ntier::NodeRole role,
                                   HardwareConfig hw, SoftAllocation soft,
                                   int max_vms_per_tier) {
@@ -60,6 +40,9 @@ ntier::TierConfig graph_node_tier(const std::string& name, ntier::NodeRole role,
       break;
     case ntier::NodeRole::kDb:
       tier.server.cpu = mysql_cpu_model();
+      // max_connections-style cap far above any upstream pool: the app
+      // tier's DB connection pool governs MySQL's concurrency, as in the
+      // paper.
       tier.server.max_threads = 1000;
       tier.server.pre_fraction = 1.0;  // leaf: single CPU phase
       tier.server.demand_cv = 0.25;
@@ -67,7 +50,17 @@ ntier::TierConfig graph_node_tier(const std::string& name, ntier::NodeRole role,
       tier.max_vms = std::max(hw.db, max_vms_per_tier);
       break;
     case ntier::NodeRole::kLb:
-      return haproxy_tier_config();
+      // Forwarding work only, effectively unbounded event loop, never
+      // scaled (as in the paper's 4-tier layout).
+      tier.server.cpu.params = {5.0e-5, 1.0e-7, 1.0e-10};  // ~50 µs per forward
+      tier.server.cpu.thrash_threshold = 1e18;
+      tier.server.cpu.thrash_factor = 0.0;
+      tier.server.max_threads = 10000;
+      tier.server.pre_fraction = 0.5;
+      tier.server.demand_cv = 0.05;
+      tier.initial_vms = 1;
+      tier.max_vms = 1;
+      break;
     case ntier::NodeRole::kCache:
       tier.server.cpu = cache_cpu_model();
       tier.server.max_threads = 500;
@@ -77,9 +70,27 @@ ntier::TierConfig graph_node_tier(const std::string& name, ntier::NodeRole role,
       tier.max_vms = max_vms_per_tier;
       break;
   }
-  tier.server.downstream_connections = 0;  // pools are declared on edges
   tier.min_vms = 1;
   return tier;
+}
+
+/// The canonical chains as fixed node/edge lists: chain3 is the paper's
+/// web → app → db deployment, chain4 splices the HAProxy hop in front of the
+/// db. Edges are declared in depth order (edge id = issuing tier's depth);
+/// the app tier's query edge carries the managed DB connection pool.
+TopologySpec canonical_chain(TopologySpec::Kind kind) {
+  TopologySpec spec;
+  spec.kind = TopologySpec::Kind::kGraph;
+  if (kind == TopologySpec::Kind::kChain3) {
+    spec.nodes = {{"apache", "web"}, {"tomcat", "app"}, {"mysql", "db"}};
+    spec.edges = {{"apache", "tomcat", 1, false, false}, {"tomcat", "mysql", 0, true, true}};
+  } else {
+    spec.nodes = {{"apache", "web"}, {"tomcat", "app"}, {"haproxy", "lb"}, {"mysql", "db"}};
+    spec.edges = {{"apache", "tomcat", 1, false, false},
+                  {"tomcat", "haproxy", 0, true, true},
+                  {"haproxy", "mysql", 1, false, false}};
+  }
+  return spec;
 }
 
 }  // namespace
@@ -122,93 +133,11 @@ ntier::CpuModelConfig cache_cpu_model() {
   return cpu;
 }
 
-ntier::AppConfig rubbos_app_config(HardwareConfig hw, SoftAllocation soft, uint64_t seed,
-                                   int max_vms_per_tier) {
-  DCM_CHECK(hw.web >= 1 && hw.app >= 1 && hw.db >= 1);
-  DCM_CHECK(soft.web_threads >= 1 && soft.app_threads >= 1 && soft.db_connections >= 1);
-
-  ntier::AppConfig config;
-  config.seed = seed;
-
-  ntier::TierConfig web;
-  web.name = "apache";
-  web.server.cpu = apache_cpu_model();
-  web.server.max_threads = soft.web_threads;
-  web.server.downstream_connections = 0;  // HAProxy fronts the app tier; no per-Apache cap
-  web.server.pre_fraction = 0.5;
-  web.server.demand_cv = 0.10;
-  web.initial_vms = hw.web;
-  web.min_vms = 1;
-  web.max_vms = std::max(hw.web, max_vms_per_tier);
-
-  ntier::TierConfig app;
-  app.name = "tomcat";
-  app.server.cpu = tomcat_cpu_model();
-  app.server.max_threads = soft.app_threads;
-  app.server.downstream_connections = soft.db_connections;
-  app.server.pre_fraction = 0.5;
-  app.server.demand_cv = 0.25;
-  app.initial_vms = hw.app;
-  app.min_vms = 1;
-  app.max_vms = std::max(hw.app, max_vms_per_tier);
-
-  ntier::TierConfig db;
-  db.name = "mysql";
-  db.server.cpu = mysql_cpu_model();
-  // max_connections-style cap, far above any sane upstream pool: the
-  // concurrency reaching MySQL is governed by the Tomcat DBConnP, exactly
-  // as in the paper.
-  db.server.max_threads = 1000;
-  db.server.downstream_connections = 0;
-  db.server.pre_fraction = 1.0;  // leaf: single CPU phase
-  db.server.demand_cv = 0.25;
-  db.initial_vms = hw.db;
-  db.min_vms = 1;
-  db.max_vms = std::max(hw.db, max_vms_per_tier);
-
-  config.tiers = {web, app, db};
-  return config;
-}
-
 ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig hw,
                                         SoftAllocation soft, int max_vms_per_tier) {
-  if (spec.kind == TopologySpec::Kind::kChain3) {
-    // Byte-identical tier templates to the legacy chain app; the edges are
-    // the chain's hops in depth order, so edge id == source depth and the
-    // graph deployment reproduces the chain digests bit-for-bit.
-    const ntier::AppConfig chain = rubbos_app_config(hw, soft, /*seed=*/1, max_vms_per_tier);
-    std::vector<ntier::ServiceNode> nodes;
-    nodes.push_back({chain.tiers[0], ntier::NodeRole::kWeb});
-    nodes.push_back({chain.tiers[1], ntier::NodeRole::kApp});
-    nodes.push_back({chain.tiers[2], ntier::NodeRole::kDb});
-    std::vector<ntier::ServiceEdge> edges;
-    edges.push_back({/*from=*/0, /*to=*/1, /*fixed_calls=*/1, /*servlet_calls=*/false,
-                     /*mean_calls=*/1.0, /*pool_capacity=*/0, /*managed=*/false});
-    // The app→db edge is throttled by the tier template's DBConnP (the
-    // pool lives in the TierConfig for single-edge nodes); the managed flag
-    // records it as the DCM-actuated soft resource.
-    edges.push_back({/*from=*/1, /*to=*/2, /*fixed_calls=*/0, /*servlet_calls=*/true,
-                     /*mean_calls=*/kDbVisitRatio, /*pool_capacity=*/soft.db_connections,
-                     /*managed=*/true});
-    return ntier::ServiceGraph(std::move(nodes), std::move(edges));
+  if (spec.kind != TopologySpec::Kind::kGraph) {
+    return build_service_graph(canonical_chain(spec.kind), hw, soft, max_vms_per_tier);
   }
-  if (spec.kind == TopologySpec::Kind::kChain4) {
-    const ntier::AppConfig chain = rubbos_app_config(hw, soft, /*seed=*/1, max_vms_per_tier);
-    std::vector<ntier::ServiceNode> nodes;
-    nodes.push_back({chain.tiers[0], ntier::NodeRole::kWeb});
-    nodes.push_back({chain.tiers[1], ntier::NodeRole::kApp});
-    nodes.push_back({haproxy_tier_config(), ntier::NodeRole::kLb});
-    nodes.push_back({chain.tiers[2], ntier::NodeRole::kDb});
-    std::vector<ntier::ServiceEdge> edges;
-    edges.push_back({0, 1, 1, false, 1.0, 0, false});
-    // Each app-tier query takes one LB hop; the app's DBConnP throttles the
-    // app→lb calls exactly as the old 4-tier hop plumbing did.
-    edges.push_back({1, 2, 0, true, kDbVisitRatio, soft.db_connections, true});
-    edges.push_back({2, 3, 1, false, 1.0, 0, false});
-    return ntier::ServiceGraph(std::move(nodes), std::move(edges));
-  }
-
-  // kGraph: named nodes with roles, edges by name.
   if (spec.nodes.empty()) spec_error("graph topology declares no nodes");
   std::unordered_map<std::string, int> ids;
   std::vector<ntier::ServiceNode> nodes;
@@ -245,16 +174,6 @@ ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig
     edge.managed = e.managed;
     edges.push_back(edge);
   }
-  // Single-edge nodes route their pool through the tier template (the
-  // legacy DBConnP mechanism); only fan-out nodes carry per-edge pools.
-  std::vector<int> out_count(nodes.size(), 0);
-  for (const auto& e : edges) ++out_count[static_cast<size_t>(e.from)];
-  for (const auto& e : edges) {
-    if (e.pool_capacity > 0 && out_count[static_cast<size_t>(e.from)] == 1) {
-      nodes[static_cast<size_t>(e.from)].tier.server.downstream_connections =
-          e.pool_capacity;
-    }
-  }
   return ntier::ServiceGraph(std::move(nodes), std::move(edges));
 }
 
@@ -263,36 +182,6 @@ ntier::ServiceGraph rubbos_4tier_graph(HardwareConfig hw, SoftAllocation soft,
   TopologySpec spec;
   spec.kind = TopologySpec::Kind::kChain4;
   return build_service_graph(spec, hw, soft, max_vms_per_tier);
-}
-
-ntier::AppConfig mysql_only_app_config(int worker_cap, uint64_t seed) {
-  DCM_CHECK(worker_cap >= 1);
-  ntier::AppConfig config;
-  config.seed = seed;
-  ntier::TierConfig db;
-  db.name = "mysql";
-  db.server.cpu = mysql_cpu_model();
-  db.server.max_threads = worker_cap;
-  db.server.downstream_connections = 0;
-  db.server.pre_fraction = 1.0;
-  db.server.demand_cv = 0.25;
-  db.initial_vms = 1;
-  db.min_vms = 1;
-  db.max_vms = 1;
-  config.tiers = {db};
-  return config;
-}
-
-workload::RequestFactory mysql_query_factory(const workload::ServletCatalog& catalog) {
-  return [&catalog](sim::Arena* arena, uint64_t id, Rng& rng, sim::SimTime now) {
-    const auto& servlet = catalog.servlet(catalog.sample(rng));
-    auto req = ntier::make_request_context(arena);
-    req->id = id;
-    req->created = now;
-    req->demand_scale = {servlet.db_scale};
-    req->downstream_calls = {0};
-    return req;
-  };
 }
 
 model::ConcurrencyModel tomcat_reference_model(int servers) {

@@ -14,8 +14,6 @@
 #include "model/concurrency_model.h"
 #include "ntier/app.h"
 #include "ntier/service_graph.h"
-#include "workload/closed_loop.h"
-#include "workload/servlet.h"
 
 namespace dcm::core {
 
@@ -48,15 +46,11 @@ struct SoftAllocation {
   bool operator==(const SoftAllocation&) const = default;
 };
 
-/// Builds the 3-tier RUBBoS-like deployment (web/app/db).
-ntier::AppConfig rubbos_app_config(HardwareConfig hw, SoftAllocation soft, uint64_t seed = 1,
-                                   int max_vms_per_tier = 8);
-
 /// Declarative deployment shape. The two canonical chains are built-in
-/// (kChain3 = web/app/db, kChain4 = web/app/db-lb/db with the HAProxy hop);
-/// kGraph materializes an arbitrary DAG from named nodes with roles and
-/// typed edges. Every kind lowers to the same ServiceGraph representation —
-/// a chain is just the degenerate DAG.
+/// (kChain3 = web/app/db, kChain4 = web/app/db-lb/db with the HAProxy hop)
+/// as fixed node/edge lists; kGraph declares an arbitrary DAG from named
+/// nodes with roles and typed edges. Every kind lowers through the same
+/// code to one ServiceGraph — a chain is just the degenerate DAG.
 struct TopologySpec {
   enum class Kind { kChain3, kChain4, kGraph };
 
@@ -82,9 +76,9 @@ struct TopologySpec {
 };
 
 /// Materializes a TopologySpec into a validated ServiceGraph with the
-/// calibrated per-role tier templates (hardware counts and soft allocations
-/// applied as in rubbos_app_config; the managed edge's pool gets
-/// soft.db_connections). Throws std::runtime_error on an invalid spec
+/// calibrated per-role tier templates (hardware counts give the web/app/db
+/// initial VMs, soft allocations the web/app thread pools; the managed
+/// edge's pool gets soft.db_connections). Throws std::runtime_error on an invalid spec
 /// (unknown role, duplicate/undeclared node names, cycles, ...).
 ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig hw,
                                         SoftAllocation soft, int max_vms_per_tier = 8);
@@ -95,15 +89,6 @@ ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig
 /// queries, throttled by the managed DB connection pool), lb→db (1 call).
 ntier::ServiceGraph rubbos_4tier_graph(HardwareConfig hw, SoftAllocation soft,
                                        int max_vms_per_tier = 8);
-
-/// Single-tier MySQL deployment for the Fig. 2(a) stress experiment: the
-/// worker cap is the "matching thread pool size" knob, so the offered JMeter
-/// concurrency is the request processing concurrency.
-ntier::AppConfig mysql_only_app_config(int worker_cap = 1000, uint64_t seed = 1);
-
-/// Request factory issuing raw single-query requests against the MySQL-only
-/// deployment (demand profile drawn from the catalog's servlets).
-workload::RequestFactory mysql_query_factory(const workload::ServletCatalog& catalog);
 
 /// Reference concurrency models built from the ground-truth parameters —
 /// what offline training recovers; used to seed DCM in tests/benches that

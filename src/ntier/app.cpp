@@ -4,23 +4,9 @@
 
 namespace dcm::ntier {
 
-NTierApp::NTierApp(sim::Engine& engine, AppConfig config) : engine_(&engine), rng_(config.seed) {
-  DCM_CHECK_MSG(!config.tiers.empty(), "app needs at least one tier");
-  tiers_.reserve(config.tiers.size());
-  for (size_t depth = 0; depth < config.tiers.size(); ++depth) {
-    tiers_.push_back(std::make_unique<Tier>(engine, config.tiers[depth],
-                                            static_cast<int>(depth), rng_));
-  }
-  for (size_t depth = 0; depth + 1 < tiers_.size(); ++depth) {
-    tiers_[depth]->set_downstream(tiers_[depth + 1].get());
-  }
-}
-
 NTierApp::NTierApp(sim::Engine& engine, ServiceGraph graph, uint64_t seed)
     : engine_(&engine), rng_(seed) {
   graph_ = std::make_unique<ServiceGraph>(std::move(graph));
-  // Same construction order as the chain constructor: every node forks rng_
-  // exactly once, in node-id order, before any wiring happens.
   tiers_.reserve(graph_->node_count());
   for (size_t node = 0; node < graph_->node_count(); ++node) {
     tiers_.push_back(std::make_unique<Tier>(engine, graph_->node(node).tier,
@@ -29,19 +15,14 @@ NTierApp::NTierApp(sim::Engine& engine, ServiceGraph graph, uint64_t seed)
   for (size_t node = 0; node < graph_->node_count(); ++node) {
     const std::vector<int>& out = graph_->out_edges(node);
     if (out.empty()) continue;  // leaf
-    if (out.size() == 1) {
-      const ServiceEdge& e = graph_->edge(static_cast<size_t>(out[0]));
-      tiers_[node]->set_downstream_edge(tiers_[static_cast<size_t>(e.to)].get(), out[0]);
-      continue;
-    }
-    std::vector<ServerFanoutEdge> specs;
-    specs.reserve(out.size());
+    std::vector<OutEdge> edges;
+    edges.reserve(out.size());
     for (int edge_id : out) {
       const ServiceEdge& e = graph_->edge(static_cast<size_t>(edge_id));
-      specs.push_back(ServerFanoutEdge{tiers_[static_cast<size_t>(e.to)].get(), edge_id,
-                                       e.pool_capacity, e.managed});
+      edges.push_back(OutEdge{tiers_[static_cast<size_t>(e.to)].get(), edge_id,
+                              e.pool_capacity, e.managed});
     }
-    tiers_[node]->set_fanout_edges(specs);
+    tiers_[node]->set_out_edges(std::move(edges));
   }
 }
 

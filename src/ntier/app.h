@@ -1,7 +1,7 @@
-// NTierApp — the deployed application. Either a chain of tiers (e.g. Apache
-// web → Tomcat app → MySQL DB) wired front to back, or an arbitrary
-// service-graph DAG whose node 0 is the client-facing root; a chain declared
-// in depth order builds identically through either constructor.
+// NTierApp — the deployed application: one Tier per ServiceGraph node, node
+// 0 client-facing, each node's out-edges wired to their target tiers. Every
+// deployment shape — the paper's web → app → db chain included — is a
+// ServiceGraph (see core::build_service_graph).
 #pragma once
 
 #include <memory>
@@ -15,20 +15,10 @@
 
 namespace dcm::ntier {
 
-struct AppConfig {
-  std::vector<TierConfig> tiers;  // index 0 = front (client-facing) tier
-  uint64_t seed = 1;
-};
-
 class NTierApp {
  public:
-  NTierApp(sim::Engine& engine, AppConfig config);
-
-  /// Graph deployment: one Tier per graph node (node id = tier depth, node 0
-  /// client-facing), edges wired per the graph's out-edge lists. Tier
-  /// construction — and therefore Rng fork order — matches the chain
-  /// constructor node-for-node, so a chain graph reproduces the chain app's
-  /// random streams exactly.
+  /// Builds one Tier per graph node (node id = tier depth). Every node forks
+  /// the app's Rng exactly once, in node-id order, before any wiring.
   NTierApp(sim::Engine& engine, ServiceGraph graph, uint64_t seed);
 
   NTierApp(const NTierApp&) = delete;
@@ -47,7 +37,7 @@ class NTierApp {
   Rng& rng() { return rng_; }
   uint64_t next_request_id() { return next_request_id_++; }
 
-  /// The deployment's service graph; nullptr for chain-constructed apps.
+  /// The deployment's service graph (never null).
   const ServiceGraph* graph() const { return graph_.get(); }
 
  private:

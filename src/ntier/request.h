@@ -28,10 +28,6 @@ inline constexpr size_t kMaxGraphEdges = 16;
 inline constexpr size_t kMaxFanOut = 6;
 static_assert(kMaxFanOut <= kMaxGraphEdges);
 
-/// Back-compat alias: chains index both arrays by tier depth, and depth is
-/// bounded by the node count.
-inline constexpr size_t kMaxTiers = kMaxGraphNodes;
-
 struct RequestContext {
   uint64_t id = 0;
   int servlet = -1;            // index into the servlet catalog (-1 = generic)

@@ -16,8 +16,7 @@ Server::Server(sim::Engine& engine, ServerConfig config, int depth, Rng rng)
       depth_(depth),
       rng_(rng),
       workers_(engine, config_.name, ".workers", config_.max_threads),
-      cpu_(engine, config_.cpu),
-      primary_edge_id_(depth) {
+      cpu_(engine, config_.cpu) {
   DCM_CHECK(depth_ >= 0);
   DCM_CHECK(config_.pre_fraction >= 0.0 && config_.pre_fraction <= 1.0);
   if (config_.demand_cv > 0.0) {
@@ -27,99 +26,39 @@ Server::Server(sim::Engine& engine, ServerConfig config, int depth, Rng rng)
     demand_ln_mu_ = -0.5 * sigma2;  // log(mean)=log(1)=0 exactly
     demand_ln_sigma_ = std::sqrt(sigma2);
   }
-  if (config_.downstream_connections > 0) {
-    conns_ = std::make_unique<SlotPool>(engine, config_.name, ".conns",
-                                        config_.downstream_connections);
-  }
 }
 
-void Server::set_fanout_edges(const std::vector<ServerFanoutEdge>& edges) {
-  DCM_CHECK_MSG(downstream_ == nullptr, "fan-out is mutually exclusive with set_downstream");
-  DCM_CHECK_MSG(fanout_.empty(), "fan-out edges already installed");
-  DCM_CHECK_MSG(edges.size() >= 2 && edges.size() <= kMaxFanOut,
-                "fan-out needs 2..kMaxFanOut edges");
-  fanout_.reserve(edges.size());
+void Server::set_out_edges(const std::vector<OutEdge>& edges) {
+  DCM_CHECK_MSG(edges_.empty(), "out-edges already installed");
+  DCM_CHECK_MSG(edges.size() <= kMaxFanOut, "more than kMaxFanOut out-edges");
+  edges_.reserve(edges.size());
   for (const auto& spec : edges) {
     DCM_CHECK(spec.target != nullptr);
     DCM_CHECK(spec.edge_id >= 0);
-    FanoutEdge e;
+    Edge e;
     e.target = spec.target;
     e.edge_id = spec.edge_id;
     if (spec.pool_capacity > 0) {
-      e.pool = std::make_unique<SlotPool>(
-          *engine_, config_.name + ".edge" + std::to_string(spec.edge_id),
-          spec.pool_capacity);
+      // Lazily named: no string work on the VM-launch path.
+      e.pool = std::make_unique<SlotPool>(*engine_, config_.name, ".conns", spec.pool_capacity);
     }
     if (spec.managed) {
-      DCM_CHECK_MSG(e.pool != nullptr, "managed fan-out edge needs a connection pool");
-      DCM_CHECK_MSG(managed_pool_ == nullptr, "at most one managed fan-out edge");
+      DCM_CHECK_MSG(e.pool != nullptr, "managed out-edge needs a connection pool");
+      DCM_CHECK_MSG(managed_pool_ == nullptr, "at most one managed out-edge");
       managed_pool_ = e.pool.get();
     }
-    fanout_.push_back(std::move(e));
+    edges_.push_back(std::move(e));
   }
-}
-
-// --- slab plumbing ---------------------------------------------------------
-
-Server::VisitHandle Server::alloc_visit() {
-  uint32_t idx;
-  if (visit_free_head_ != kNilIndex) {
-    idx = visit_free_head_;
-    visit_free_head_ = visit_slab_[idx].next_free;
-  } else {
-    idx = static_cast<uint32_t>(visit_slab_.size());
-    visit_slab_.emplace_back();
-  }
-  VisitSlot& slot = visit_slab_[idx];
-  slot.live = true;
-  return {idx, slot.gen};
-}
-
-void Server::free_visit(VisitHandle h) {
-  VisitSlot& slot = visit_slab_[h.index];
-  slot.live = false;
-  ++slot.gen;  // every outstanding handle to this slot is now stale
-  slot.state.request.reset();
-  slot.state.done = nullptr;
-  slot.next_free = visit_free_head_;
-  visit_free_head_ = h.index;
-}
-
-Server::VisitState* Server::visit(VisitHandle h) {
-  VisitSlot& slot = visit_slab_[h.index];
-  return (slot.live && slot.gen == h.gen) ? &slot.state : nullptr;
-}
-
-Server::AttemptHandle Server::alloc_attempt() {
-  uint32_t idx;
-  if (attempt_free_head_ != kNilIndex) {
-    idx = attempt_free_head_;
-    attempt_free_head_ = attempt_slab_[idx].next_free;
-  } else {
-    idx = static_cast<uint32_t>(attempt_slab_.size());
-    attempt_slab_.emplace_back();
-  }
-  AttemptSlot& slot = attempt_slab_[idx];
-  slot.live = true;
-  return {idx, slot.gen};
-}
-
-void Server::free_attempt(AttemptHandle h) {
-  AttemptSlot& slot = attempt_slab_[h.index];
-  slot.live = false;
-  ++slot.gen;
-  slot.next_free = attempt_free_head_;
-  attempt_free_head_ = h.index;
-}
-
-Server::AttemptState* Server::attempt(AttemptHandle h) {
-  AttemptSlot& slot = attempt_slab_[h.index];
-  return (slot.live && slot.gen == h.gen) ? &slot.state : nullptr;
 }
 
 // --- request path ----------------------------------------------------------
 
 void Server::sync_thread_count() { cpu_.set_thread_count(workers_.in_use()); }
+
+int Server::planned_calls(const RequestContext& request, const Edge& edge) const {
+  const auto id = static_cast<size_t>(edge.edge_id);
+  return request.downstream_calls.size() > id ? request.downstream_calls[id] : 0;
+}
 
 void Server::process(const RequestPtr& request, DoneFn done) {
   DCM_CHECK(request != nullptr);
@@ -128,25 +67,17 @@ void Server::process(const RequestPtr& request, DoneFn done) {
     done(false);
     return;
   }
-  const VisitHandle h = alloc_visit();
-  VisitState& v = visit_slab_[h.index].state;
+  const VisitHandle h = visits_.alloc();
+  VisitState& v = *visits_.get(h);
   v.visit_id = next_visit_id_++;
   v.request = request;
   v.done = std::move(done);
   v.arrived = engine_->now();
-  v.demand = 0.0;
-  v.calls = 0;
-  v.call_index = 0;
-  v.conn_held = false;
-  v.holds_worker = false;
-  v.branches.clear();
-  v.branches_pending = 0;
-  v.branch_failed = false;
   workers_.acquire([this, h] { on_worker_granted(h); });
 }
 
 void Server::on_worker_granted(VisitHandle h) {
-  VisitState* v = visit(h);
+  VisitState* v = visits_.get(h);
   if (v == nullptr) return;  // crashed while queued
   if (trace::TraceContext* tr = v->request->trace.get()) {
     tr->add_span(trace::SpanKind::kPoolWait, depth_, v->arrived, engine_->now());
@@ -177,7 +108,7 @@ void Server::end_cpu_span(VisitState& visit) {
 }
 
 void Server::start_visit(VisitHandle h) {
-  VisitState* v = visit(h);
+  VisitState* v = visits_.get(h);
   const auto& req = *v->request;
   const double scale =
       req.demand_scale.size() > static_cast<size_t>(depth_)
@@ -188,186 +119,180 @@ void Server::start_visit(VisitHandle h) {
   v->demand = config_.cpu.params.s0 * scale * variability;
 
   const int busy_workers = workers_.in_use();
-  if (!fanout_.empty()) {
-    // Fan-out node: read each out-edge's calls from the request's per-edge
-    // plan. All-zero degenerates to the CPU-only shape.
-    int total_calls = 0;
-    for (const auto& e : fanout_) {
-      const int calls =
-          req.downstream_calls.size() > static_cast<size_t>(e.edge_id)
-              ? req.downstream_calls[static_cast<size_t>(e.edge_id)]
-              : 0;
-      v->branches.push_back(BranchScratch{calls, 0, false, 0, 0});
-      total_calls += calls;
-    }
-    if (total_calls == 0) {
-      begin_cpu_span(*v, v->demand);
-      cpu_.submit_with_thread_count(busy_workers, v->demand,
-                                    [this, h] { on_cpu_done_finish(h); });
-      return;
-    }
-    const double pre = v->demand * config_.pre_fraction;
-    begin_cpu_span(*v, pre);
-    cpu_.submit_with_thread_count(busy_workers, pre, [this, h] { on_cpu_done_fanout(h); });
-    return;
-  }
-
-  // Single-edge node. The edge id defaults to the tier depth, so a chain
-  // reads exactly the index the legacy per-tier hop list populated.
-  v->calls = (downstream_ != nullptr &&
-              req.downstream_calls.size() > static_cast<size_t>(primary_edge_id_))
-                 ? req.downstream_calls[static_cast<size_t>(primary_edge_id_)]
-                 : 0;
-  if (v->calls == 0) {
+  const bool calls_downstream = std::any_of(
+      edges_.begin(), edges_.end(), [&](const Edge& e) { return planned_calls(req, e) > 0; });
+  if (!calls_downstream) {
     begin_cpu_span(*v, v->demand);
     cpu_.submit_with_thread_count(busy_workers, v->demand, [this, h] { on_cpu_done_finish(h); });
     return;
   }
   const double pre = v->demand * config_.pre_fraction;
   begin_cpu_span(*v, pre);
-  cpu_.submit_with_thread_count(busy_workers, pre, [this, h] { on_cpu_done_downstream(h); });
+  cpu_.submit_with_thread_count(busy_workers, pre, [this, h] { on_cpu_done_pre(h); });
 }
 
 void Server::on_cpu_done_finish(VisitHandle h) {
-  VisitState* v = visit(h);
+  VisitState* v = visits_.get(h);
   if (v == nullptr) return;  // crash dropped this visit (and its CPU job)
   end_cpu_span(*v);
   finish_visit(h, true);
 }
 
-void Server::on_cpu_done_downstream(VisitHandle h) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;
-  end_cpu_span(*v);
-  v->call_index = 0;
-  issue_downstream(h);
-}
-
-void Server::issue_downstream(VisitHandle h) {
-  VisitState* v = visit(h);
-  if (v->call_index >= v->calls) {
-    const double post = v->demand * (1.0 - config_.pre_fraction);
-    begin_cpu_span(*v, post);
-    cpu_.submit(post, [this, h] { on_cpu_done_finish(h); });
-    return;
-  }
-  if (v->request->trace != nullptr) v->conn_requested = engine_->now();
-  if (retry_.enabled()) {
-    if (conns_) {
-      conns_->acquire([this, h] { on_conn_granted_retry(h); });
-    } else {
-      dispatch_downstream(h, /*attempt=*/0, /*conn_held=*/false);
-    }
-    return;
-  }
-  // Legacy single-attempt path — event-for-event the pre-resilience
-  // behaviour for the default configuration.
-  if (conns_) {
-    conns_->acquire([this, h] { on_conn_granted_legacy(h); });
-  } else {
-    forward_legacy(h, /*conn_held=*/false);
-  }
-}
-
-// --- fan-out branches -------------------------------------------------------
-//
-// Branch continuations capture [this, h, branch] (20 bytes) and therefore
-// heap-allocate through std::function; only fan-out topologies pay this.
-// Branches are single-attempt — the retry policy applies to single-edge
-// servers only (see set_fanout_edges).
-
-void Server::on_cpu_done_fanout(VisitHandle h) {
-  VisitState* v = visit(h);
+void Server::on_cpu_done_pre(VisitHandle h) {
+  VisitState* v = visits_.get(h);
   if (v == nullptr) return;
   end_cpu_span(*v);
   int pending = 0;
-  for (const auto& b : v->branches) {
-    if (b.calls > 0) ++pending;
+  for (const Edge& e : edges_) {
+    if (planned_calls(*v->request, e) > 0) ++pending;
   }
-  v->branches_pending = pending;
-  // Count first, then issue: a branch that settles synchronously (downstream
+  v->pending_edges = pending;
+  // Count first, then issue: an edge that settles synchronously (downstream
   // rejects) decrements the full count and can never fire the join before
-  // the remaining branches have been issued.
-  const size_t branch_count = fanout_.size();
-  for (size_t i = 0; i < branch_count; ++i) {
-    VisitState* vv = visit(h);
-    if (vv == nullptr) return;
-    if (vv->branches[i].calls > 0) start_branch_call(h, static_cast<int>(i));
+  // the remaining edges have been issued.
+  for (size_t i = 0; i < edges_.size(); ++i) {
+    v = visits_.get(h);
+    if (v == nullptr) return;
+    const int calls = planned_calls(*v->request, edges_[i]);
+    if (calls == 0) continue;
+    const CallHandle ch = calls_.alloc();
+    CallState& c = *calls_.get(ch);
+    c.visit = h;
+    c.edge = static_cast<int>(i);
+    c.calls = calls;
+    start_call(ch, c, *v);
   }
 }
 
-void Server::start_branch_call(VisitHandle h, int branch) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;
-  BranchScratch& b = v->branches[static_cast<size_t>(branch)];
-  FanoutEdge& e = fanout_[static_cast<size_t>(branch)];
-  if (v->request->trace != nullptr) b.conn_requested = engine_->now();
-  if (e.pool) {
-    e.pool->acquire([this, h, branch] { on_branch_conn(h, branch); });
-  } else {
-    forward_branch(h, branch, /*conn_held=*/false);
+// --- edge calls --------------------------------------------------------------
+//
+// The CallState/VisitState references these functions take are valid only
+// until the next pool release or downstream dispatch: either can start work
+// that grows a slab, so a handler refetches through its handles after one.
+
+void Server::start_call(CallHandle ch, CallState& c, const VisitState& v) {
+  c.attempt = 0;
+  c.conn_requested = engine_->now();
+  SlotPool* pool = edges_[static_cast<size_t>(c.edge)].pool.get();
+  if (pool == nullptr) {
+    dispatch_call(ch, c, v);
+    return;
   }
+  c.awaiting_conn = true;
+  pool->acquire([this, ch] { on_conn_granted(ch); });
 }
 
-void Server::on_branch_conn(VisitHandle h, int branch) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;  // crashed while queued on the edge pool
-  const BranchScratch& b = v->branches[static_cast<size_t>(branch)];
-  if (trace::TraceContext* tr = v->request->trace.get()) {
+void Server::on_conn_granted(CallHandle ch) {
+  CallState& c = *calls_.get(ch);
+  const VisitState& v = *visits_.get(c.visit);
+  c.awaiting_conn = false;
+  c.conn_held = true;
+  if (trace::TraceContext* tr = v.request->trace.get()) {
     tr->add_edge_span(trace::SpanKind::kConnWait, depth_,
-                      fanout_[static_cast<size_t>(branch)].edge_id, b.conn_requested,
+                      edges_[static_cast<size_t>(c.edge)].edge_id, c.conn_requested,
                       engine_->now());
   }
-  forward_branch(h, branch, /*conn_held=*/true);
+  dispatch_call(ch, c, v);
 }
 
-void Server::forward_branch(VisitHandle h, int branch, bool conn_held) {
-  VisitState* v = visit(h);
-  BranchScratch& b = v->branches[static_cast<size_t>(branch)];
-  b.conn_held = conn_held;
-  if (v->request->trace != nullptr) b.started = engine_->now();
-  fanout_[static_cast<size_t>(branch)].target->dispatch(
-      v->request, [this, h, branch](bool ok) { on_branch_response(h, branch, ok); });
+void Server::dispatch_call(CallHandle ch, CallState& c, const VisitState& v) {
+  c.started = engine_->now();
+  edges_[static_cast<size_t>(c.edge)].target->dispatch(
+      v.request, [this, ch](bool ok) { on_call_response(ch, ok); });
+  // The dispatch can settle the attempt synchronously (downstream rejects),
+  // which re-keys the call — arm the deadline only if it is still pending.
+  if (retry_.timeout_seconds <= 0.0) return;
+  if (CallState* armed = calls_.get(ch)) {
+    armed->timeout = engine_->schedule_after(sim::from_seconds(retry_.timeout_seconds),
+                                             [this, ch] { on_call_timeout(ch); });
+  }
 }
 
-void Server::on_branch_response(VisitHandle h, int branch, bool ok) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;  // crashed while the branch call was in flight
-  FanoutEdge& e = fanout_[static_cast<size_t>(branch)];
-  BranchScratch* b = &v->branches[static_cast<size_t>(branch)];
+Server::VisitState* Server::live_visit_or_free(CallHandle ch, const CallState& c) {
+  VisitState* v = visits_.get(c.visit);
+  if (v == nullptr) calls_.free(ch);
+  return v;
+}
+
+void Server::on_call_response(CallHandle ch, bool ok) {
+  CallState* c = calls_.get(ch);
+  if (c == nullptr) return;  // deadline already expired; drop the late response
+  c->timeout.cancel();
+  ch = calls_.rekey(ch);
+  VisitState* v = live_visit_or_free(ch, *c);
+  if (v == nullptr) return;  // server crashed while the call was in flight
   if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kDownstream, depth_, e.edge_id, b->started,
-                      engine_->now());
+    tr->add_edge_span(trace::SpanKind::kDownstream, depth_,
+                      edges_[static_cast<size_t>(c->edge)].edge_id, c->started, engine_->now());
   }
-  if (b->conn_held) {
-    b->conn_held = false;
-    e.pool->release();
-    // release cannot free this slot, but it can admit other branch traffic
-    // on this server — refetch for safety.
-    v = visit(h);
-    b = &v->branches[static_cast<size_t>(branch)];
-  }
-  if (!ok) {
-    settle_branch(h, /*ok=*/false);
-    return;
-  }
-  b->index += 1;
-  if (b->index < b->calls) {
-    start_branch_call(h, branch);
-    return;
-  }
-  settle_branch(h, /*ok=*/true);
+  on_call_result(ch, *c, *v, ok);
 }
 
-void Server::settle_branch(VisitHandle h, bool ok) {
-  VisitState* v = visit(h);
+void Server::on_call_timeout(CallHandle ch) {
+  CallState* c = calls_.get(ch);
+  if (c == nullptr) return;  // response won the race
+  ch = calls_.rekey(ch);     // the late response will find a stale handle
+  VisitState* v = live_visit_or_free(ch, *c);
   if (v == nullptr) return;
-  if (!ok) v->branch_failed = true;
-  if (--v->branches_pending > 0) return;
-  // Join: every branch settled. Fail-fast semantics resolved here so a
-  // failed branch still waits for its siblings (their workers/pools drain
-  // normally) before the visit fails.
-  if (v->branch_failed) {
+  ++subrequest_timeouts_;
+  if (trace::TraceContext* tr = v->request->trace.get()) {
+    tr->add_edge_span(trace::SpanKind::kTimeoutWait, depth_,
+                      edges_[static_cast<size_t>(c->edge)].edge_id, c->started, engine_->now());
+  }
+  on_call_result(ch, *c, *v, false);
+}
+
+void Server::on_backoff_done(CallHandle ch) {
+  CallState& c = *calls_.get(ch);
+  if (const VisitState* v = live_visit_or_free(ch, c)) dispatch_call(ch, c, *v);
+}
+
+void Server::on_call_result(CallHandle ch, CallState& c, VisitState& v, bool ok) {
+  if (!ok && c.attempt < retry_.max_retries) {
+    ++subrequest_retries_;
+    // Exponential backoff with deterministic jitter; the connection stays
+    // held across attempts (a blocked app thread keeps its pool slot).
+    const double base =
+        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, c.attempt);
+    const double jitter =
+        retry_.jitter_fraction > 0.0
+            ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
+            : 1.0;
+    const double delay = std::max(0.0, base * jitter);
+    if (trace::TraceContext* tr = v.request->trace.get()) {
+      tr->add_span(trace::SpanKind::kBackoff, depth_, engine_->now(),
+                   engine_->now() + sim::from_seconds(delay));
+    }
+    ++c.attempt;
+    engine_->schedule_after(sim::from_seconds(delay), [this, ch] { on_backoff_done(ch); });
+    return;
+  }
+  CallState* call = &c;
+  const VisitState* visit = &v;
+  if (call->conn_held) {
+    call->conn_held = false;
+    edges_[static_cast<size_t>(call->edge)].pool->release();
+    call = calls_.get(ch);
+    visit = visits_.get(call->visit);
+  }
+  if (ok && ++call->index < call->calls) {
+    start_call(ch, *call, *visit);
+    return;
+  }
+  const VisitHandle h = call->visit;
+  calls_.free(ch);
+  settle_edge(h, ok);
+}
+
+void Server::settle_edge(VisitHandle h, bool ok) {
+  VisitState* v = visits_.get(h);
+  if (v == nullptr) return;
+  if (!ok) v->edge_failed = true;
+  if (--v->pending_edges > 0) return;
+  // Join: every edge settled. Fail-fast semantics resolved here so a failed
+  // edge still waits for its siblings (their workers/pools drain normally)
+  // before the visit fails.
+  if (v->edge_failed) {
     finish_visit(h, false);
     return;
   }
@@ -376,142 +301,8 @@ void Server::settle_branch(VisitHandle h, bool ok) {
   cpu_.submit(post, [this, h] { on_cpu_done_finish(h); });
 }
 
-void Server::on_conn_granted_legacy(VisitHandle h) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;  // crashed while waiting for a connection
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kConnWait, depth_, primary_edge_id_,
-                      v->conn_requested, engine_->now());
-  }
-  forward_legacy(h, /*conn_held=*/true);
-}
-
-void Server::forward_legacy(VisitHandle h, bool conn_held) {
-  VisitState* v = visit(h);
-  v->conn_held = conn_held;
-  if (v->request->trace != nullptr) v->downstream_started = engine_->now();
-  downstream_->dispatch(v->request, [this, h](bool ok) { on_legacy_response(h, ok); });
-}
-
-void Server::on_legacy_response(VisitHandle h, bool ok) {
-  // The downstream response may arrive after this server crashed; the visit
-  // (and its pool slots) are already gone — drop it.
-  VisitState* v = visit(h);
-  if (v == nullptr) return;
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kDownstream, depth_, primary_edge_id_,
-                      v->downstream_started, engine_->now());
-  }
-  if (v->conn_held) conns_->release();
-  if (!ok) {
-    finish_visit(h, false);
-    return;
-  }
-  // release() cannot touch this slot (only this visit's own continuations
-  // finish it), but it can admit other traffic — refetch for safety.
-  v = visit(h);
-  v->call_index += 1;
-  issue_downstream(h);
-}
-
-void Server::on_conn_granted_retry(VisitHandle h) {
-  VisitState* v = visit(h);
-  if (v == nullptr) return;
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kConnWait, depth_, primary_edge_id_,
-                      v->conn_requested, engine_->now());
-  }
-  dispatch_downstream(h, /*attempt=*/0, /*conn_held=*/true);
-}
-
-void Server::dispatch_downstream(VisitHandle h, int attempt_no, bool conn_held) {
-  VisitState* v = visit(h);
-  const AttemptHandle ah = alloc_attempt();
-  AttemptState& a = attempt_slab_[ah.index].state;
-  a.visit = h;
-  a.attempt = attempt_no;
-  a.conn_held = conn_held;
-  a.timeout = sim::EventHandle();
-  if (v->request->trace != nullptr) v->downstream_started = engine_->now();
-  downstream_->dispatch(v->request, [this, ah](bool ok) { on_attempt_response(ah, ok); });
-  // The dispatch can settle synchronously (downstream rejects) and even grow
-  // the attempt slab via re-entry — refetch before arming the deadline.
-  AttemptState* armed = attempt(ah);
-  if (retry_.timeout_seconds > 0.0 && armed != nullptr) {
-    armed->timeout = engine_->schedule_after(sim::from_seconds(retry_.timeout_seconds),
-                                             [this, ah] { on_attempt_timeout(ah); });
-  }
-}
-
-void Server::on_attempt_response(AttemptHandle ah, bool ok) {
-  AttemptState* a = attempt(ah);
-  if (a == nullptr) return;  // deadline already expired; drop late response
-  const VisitHandle h = a->visit;
-  const int attempt_no = a->attempt;
-  const bool conn_held = a->conn_held;
-  a->timeout.cancel();
-  free_attempt(ah);
-  VisitState* v = visit(h);
-  if (v == nullptr) return;  // server crashed while the call was in flight
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kDownstream, depth_, primary_edge_id_,
-                      v->downstream_started, engine_->now());
-  }
-  on_subrequest_result(h, attempt_no, conn_held, ok);
-}
-
-void Server::on_attempt_timeout(AttemptHandle ah) {
-  AttemptState* a = attempt(ah);
-  if (a == nullptr) return;  // response won the race
-  const VisitHandle h = a->visit;
-  const int attempt_no = a->attempt;
-  const bool conn_held = a->conn_held;
-  free_attempt(ah);  // the late response will find a stale handle
-  VisitState* v = visit(h);
-  if (v == nullptr) return;
-  ++subrequest_timeouts_;
-  if (trace::TraceContext* tr = v->request->trace.get()) {
-    tr->add_edge_span(trace::SpanKind::kTimeoutWait, depth_, primary_edge_id_,
-                      v->downstream_started, engine_->now());
-  }
-  on_subrequest_result(h, attempt_no, conn_held, false);
-}
-
-void Server::on_subrequest_result(VisitHandle h, int attempt, bool conn_held, bool ok) {
-  if (ok) {
-    if (conn_held) conns_->release();
-    VisitState* v = visit(h);  // release cannot free this slot; see above
-    v->call_index += 1;
-    issue_downstream(h);
-    return;
-  }
-  if (attempt < retry_.max_retries) {
-    ++subrequest_retries_;
-    // Exponential backoff with deterministic jitter; the connection stays
-    // held across attempts (a blocked app thread keeps its pool slot).
-    const double base =
-        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, attempt);
-    const double jitter =
-        retry_.jitter_fraction > 0.0
-            ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
-            : 1.0;
-    const double delay = std::max(0.0, base * jitter);
-    if (trace::TraceContext* tr = visit(h)->request->trace.get()) {
-      tr->add_span(trace::SpanKind::kBackoff, depth_, engine_->now(),
-                   engine_->now() + sim::from_seconds(delay));
-    }
-    engine_->schedule_after(sim::from_seconds(delay), [this, h, attempt, conn_held] {
-      if (visit(h) == nullptr) return;
-      dispatch_downstream(h, attempt + 1, conn_held);
-    });
-    return;
-  }
-  if (conn_held) conns_->release();
-  finish_visit(h, false);
-}
-
 void Server::finish_visit(VisitHandle h, bool ok) {
-  VisitState* v = visit(h);
+  VisitState* v = visits_.get(h);
   if (v == nullptr) return;
   if (ok) {
     ++completed_;
@@ -524,7 +315,7 @@ void Server::finish_visit(VisitHandle h, bool ok) {
   // Free before releasing the worker: the release can synchronously admit a
   // queued visit, which may reuse this very slot. The bumped generation is
   // what marks any continuation still holding `h` as stale.
-  free_visit(h);
+  visits_.free(h);
   if (held_worker) {
     workers_.release();
     sync_thread_count();
@@ -542,29 +333,34 @@ void Server::crash() {
   ++epoch_;
   cpu_.abort_all();
   workers_.reset();
-  if (conns_) conns_->reset();
-  for (auto& e : fanout_) {
+  for (auto& e : edges_) {
     if (e.pool) e.pool->reset();
   }
   cpu_.set_thread_count(0);
+
+  // The pool resets dropped the grants of calls queued on an edge pool; free
+  // those calls here. Every other live call still has a response, deadline
+  // or backoff event pending and frees itself once that finds its visit gone.
+  for (uint32_t i = 0; i < calls_.size(); ++i) {
+    const CallState* c = calls_.at(i);
+    if (c != nullptr && c->awaiting_conn) calls_.free(calls_.handle(i));
+  }
 
   // Fail every visit that was in flight or queued, in visit-id order (the
   // deterministic order the old id-keyed map iterated in). Freeing the slot
   // first makes every pre-crash continuation stale; firing done(false) here
   // is the only signal that runs.
   crash_scratch_.clear();
-  for (uint32_t i = 0; i < visit_slab_.size(); ++i) {
-    if (visit_slab_[i].live) {
-      crash_scratch_.emplace_back(visit_slab_[i].state.visit_id, i);
-    }
+  for (uint32_t i = 0; i < visits_.size(); ++i) {
+    if (const VisitState* v = visits_.at(i)) crash_scratch_.emplace_back(v->visit_id, i);
   }
   std::sort(crash_scratch_.begin(), crash_scratch_.end());
   for (const auto& [id, idx] : crash_scratch_) {
-    VisitSlot& slot = visit_slab_[idx];
-    if (!slot.live || slot.state.visit_id != id) continue;  // slot was reused
+    VisitState* v = visits_.at(idx);
+    if (v == nullptr || v->visit_id != id) continue;  // slot was reused
     ++rejected_;
-    DoneFn done = std::move(slot.state.done);
-    free_visit({idx, slot.gen});
+    DoneFn done = std::move(v->done);
+    visits_.free(visits_.handle(idx));
     if (done) done(false);
   }
   if (idle_callback_) {
@@ -579,12 +375,8 @@ void Server::set_thread_pool_size(int size) {
 }
 
 void Server::set_downstream_connections(int size) {
-  if (managed_pool_ != nullptr) {
-    managed_pool_->resize(size);
-    return;
-  }
-  DCM_CHECK_MSG(conns_ != nullptr, "server has no downstream connection pool");
-  conns_->resize(size);
+  DCM_CHECK_MSG(managed_pool_ != nullptr, "server has no managed connection pool");
+  managed_pool_->resize(size);
 }
 
 void Server::set_cpu_capacity_factor(double factor) {

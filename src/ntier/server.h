@@ -3,26 +3,27 @@
 // A visit holds a worker-pool slot for its entire lifetime (CPU phases plus
 // downstream waits — a blocked Tomcat thread still occupies maxThreads and
 // still contributes multithreading overhead, which is why over-sized pools
-// hurt). Downstream sub-requests go through this server's connection pool
-// and the downstream tier's load balancer.
+// hurt). Downstream sub-requests go out along the server's out-edges, each
+// through that edge's optional connection pool and the target tier's load
+// balancer.
 //
-// Hot-path storage: visits and retry attempts live in generation-counted
-// slabs owned by the server, not in per-visit shared_ptrs. Continuations
-// capture [this, handle] — 16 bytes, inside std::function's inline buffer —
-// so the steady-state request path performs no heap allocation. A freed slot
-// bumps its generation, which makes every outstanding handle stale; that
-// replaces both the old `finished` flag and the crash-epoch guard (crash()
-// frees all live slots, instantly invalidating pre-crash continuations).
+// Topology: a server owns 0..kMaxFanOut out-edges (set_out_edges). A visit
+// calls every edge its request plans calls for: edges concurrently, the calls
+// along one edge sequentially, and the post-CPU phase starts only after every
+// edge settles (synchronous join); any failed edge fails the visit once the
+// others drain. A chain hop is simply a one-edge fan-out. Every call — on any
+// edge — follows the one sub-request retry policy: a per-attempt deadline
+// and bounded retries with jittered backoff. With the policy disabled no
+// deadline is armed and a failure fails the edge at once.
 //
-// Topology: a server either has one downstream edge (set_downstream — the
-// chain case, routed through the legacy/retry paths untouched) or fans out
-// over ≥2 service-graph edges (set_fanout_edges). Fan-out branches run
-// concurrently, each branch's calls sequentially, and the visit's post-CPU
-// phase starts only after every branch settles (synchronous join); any
-// branch failure fails the visit once the others drain. Branch continuations
-// capture [this, handle, branch] — 20 bytes, past std::function's inline
-// buffer — so only fan-out topologies pay a per-continuation allocation; the
-// chain hot path stays allocation-free.
+// Hot-path storage: visits and (visit, edge) calls live in generation-counted
+// slabs owned by the server, not in per-visit shared_ptrs. Every
+// continuation captures [this, handle] — 16 bytes, inside std::function's
+// inline buffer — so the steady-state request path performs no heap
+// allocation on any topology. A freed slot bumps its generation, which makes
+// every outstanding handle stale: crash() frees all live visits, instantly
+// invalidating pre-crash continuations, and an attempt settled by its
+// response or its deadline is re-keyed so the loser of the race is a no-op.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/inline_vec.h"
 #include "common/rng.h"
 #include "metrics/welford.h"
 #include "ntier/request.h"
@@ -42,27 +42,26 @@ namespace dcm::ntier {
 
 class Tier;  // downstream dispatch target
 
-/// One out-edge of a fan-out server (see Server::set_fanout_edges).
-struct ServerFanoutEdge {
+/// One out-edge of a server: a synchronous call target and its optional
+/// caller-side connection pool.
+struct OutEdge {
   Tier* target = nullptr;
   int edge_id = 0;        // service-graph edge id (indexes downstream_calls)
-  int pool_capacity = 0;  // >0: per-server caller-side connection pool
+  int pool_capacity = 0;  // >0: per-server connection pool held across each call
   bool managed = false;   // pool resized by set_downstream_connections
 };
 
 /// Deadline + bounded retry applied to each inter-tier sub-request. All
 /// fields are per-attempt; backoff between attempt k and k+1 is
 /// backoff_base · multiplier^k, jittered ±jitter_fraction from the server's
-/// own deterministic Rng stream. Disabled by default (exactly the legacy
-/// single-attempt behaviour, with no extra allocations on the hot path).
+/// own deterministic Rng stream. Disabled by default: single attempts, no
+/// deadline events, no extra rng draws.
 struct SubRequestRetryPolicy {
   double timeout_seconds = 0.0;  // 0 = no deadline
   int max_retries = 0;
   double backoff_base_seconds = 0.05;
   double backoff_multiplier = 2.0;
   double jitter_fraction = 0.2;
-
-  bool enabled() const { return timeout_seconds > 0.0 || max_retries > 0; }
 };
 
 class Server {
@@ -72,21 +71,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Wires the tier this server sends sub-requests to (nullptr = leaf).
-  void set_downstream(Tier* tier) { downstream_ = tier; }
-
-  /// Service-graph edge id of the single downstream edge; indexes the
-  /// request's downstream_calls plan and stamps kConnWait/kDownstream spans.
-  /// Defaults to the tier depth, which is exactly the legacy chain indexing.
-  void set_primary_edge_id(int edge_id) { primary_edge_id_ = edge_id; }
-
-  /// Wires ≥2 concurrent out-edges (fan-out/join topology node). Mutually
-  /// exclusive with set_downstream. Edges with pool_capacity > 0 get a
-  /// per-server connection pool; the managed edge's pool (at most one) is
-  /// what connection_pool()/set_downstream_connections operate on. Branches
-  /// are single-attempt: the sub-request retry policy applies only to
-  /// single-edge servers.
-  void set_fanout_edges(const std::vector<ServerFanoutEdge>& edges);
+  /// Installs the server's out-edges (none = leaf). Call once, before the
+  /// first visit. Edges with pool_capacity > 0 get a per-server connection
+  /// pool; the managed edge's pool (at most one) is what connection_pool()
+  /// and set_downstream_connections operate on.
+  void set_out_edges(const std::vector<OutEdge>& edges);
 
   /// Processes one visit; `done(ok)` fires at visit completion (ok=false if
   /// rejected here or anywhere downstream — a failed sub-request fails the
@@ -97,8 +86,8 @@ class Server {
   void set_thread_pool_size(int size);
   void set_downstream_connections(int size);
 
-  /// Deadline/retry discipline for inter-tier sub-requests (resilience
-  /// mechanism; the tier propagates one policy to all its servers).
+  /// Deadline/retry discipline for inter-tier sub-requests on every edge
+  /// (resilience mechanism; the tier propagates one policy to all servers).
   void set_subrequest_retry(SubRequestRetryPolicy policy) { retry_ = policy; }
   const SubRequestRetryPolicy& subrequest_retry() const { return retry_; }
   uint64_t subrequest_timeouts() const { return subrequest_timeouts_; }
@@ -127,12 +116,10 @@ class Server {
   int queue_length() const { return workers_.queue_length(); }
   int thread_pool_size() const { return workers_.capacity(); }
   int downstream_connection_limit() const {
-    const SlotPool* p = connection_pool();
-    return p ? p->capacity() : 0;
+    return managed_pool_ ? managed_pool_->capacity() : 0;
   }
   int downstream_connections_in_use() const {
-    const SlotPool* p = connection_pool();
-    return p ? p->in_use() : 0;
+    return managed_pool_ ? managed_pool_->in_use() : 0;
   }
 
   uint64_t completed() const { return completed_; }
@@ -145,11 +132,9 @@ class Server {
   double cpu_util_integral() const { return cpu_.util_integral(); }
 
   const SlotPool& worker_pool() const { return workers_; }
-  /// The pool set_downstream_connections resizes: the managed fan-out edge's
-  /// pool when one exists, else the single-edge connection pool.
-  const SlotPool* connection_pool() const {
-    return managed_pool_ != nullptr ? managed_pool_ : conns_.get();
-  }
+  /// The managed out-edge's pool (what set_downstream_connections resizes),
+  /// or nullptr when the server has none.
+  const SlotPool* connection_pool() const { return managed_pool_; }
   const CpuScheduler& cpu() const { return cpu_; }
 
   /// Fault injection: scales this server's CPU capacity (1.0 = healthy,
@@ -160,28 +145,60 @@ class Server {
   void set_idle_callback(std::function<void()> cb) { idle_callback_ = std::move(cb); }
 
  private:
-  static constexpr uint32_t kNilIndex = 0xffffffffu;
+  /// Generation-counted free-list slab. A Handle is an 8-byte ticket that
+  /// goes stale (get returns nullptr) once its slot is freed or re-keyed.
+  template <typename T>
+  class Slab {
+   public:
+    struct Handle {
+      uint32_t index = 0;
+      uint32_t gen = 0;
+    };
 
-  /// 8-byte ticket into a slab. A handle is stale (lookup returns nullptr)
-  /// once its slot was freed — the generation no longer matches.
-  struct VisitHandle {
-    uint32_t index = 0;
-    uint32_t gen = 0;
-  };
-  struct AttemptHandle {
-    uint32_t index = 0;
-    uint32_t gen = 0;
-  };
+    Handle alloc() {
+      uint32_t idx = free_head_;
+      if (idx != kNil) {
+        free_head_ = slots_[idx].next_free;
+      } else {
+        idx = static_cast<uint32_t>(slots_.size());
+        slots_.emplace_back();
+      }
+      slots_[idx].live = true;
+      return {idx, slots_[idx].gen};
+    }
+    /// Resets the slot's value and makes every outstanding handle stale.
+    void free(Handle h) {
+      Slot& slot = slots_[h.index];
+      slot.live = false;
+      ++slot.gen;
+      slot.value = T{};
+      slot.next_free = free_head_;
+      free_head_ = h.index;
+    }
+    /// Keeps the slot live but makes every outstanding copy of `h` stale.
+    Handle rekey(Handle h) { return {h.index, ++slots_[h.index].gen}; }
+    /// nullptr if `h` is stale. Invalidated by alloc (slab growth) —
+    /// refetch after any call that can start new work on this server.
+    T* get(Handle h) {
+      Slot& slot = slots_[h.index];
+      return (slot.live && slot.gen == h.gen) ? &slot.value : nullptr;
+    }
 
-  /// Per-branch progress of a fan-out visit. Branch calls are sequential
-  /// within the branch, branches concurrent with each other, so each needs
-  /// its own call cursor, pool state, and tracing scratch.
-  struct BranchScratch {
-    int calls = 0;
-    int index = 0;
-    bool conn_held = false;
-    sim::SimTime conn_requested = 0;
-    sim::SimTime started = 0;
+    uint32_t size() const { return static_cast<uint32_t>(slots_.size()); }
+    /// The live value at `index`, or nullptr.
+    T* at(uint32_t index) { return slots_[index].live ? &slots_[index].value : nullptr; }
+    Handle handle(uint32_t index) const { return {index, slots_[index].gen}; }
+
+   private:
+    static constexpr uint32_t kNil = 0xffffffffu;
+    struct Slot {
+      T value;
+      uint32_t gen = 0;
+      uint32_t next_free = kNil;
+      bool live = false;
+    };
+    std::vector<Slot> slots_;
+    uint32_t free_head_ = kNil;
   };
 
   struct VisitState {
@@ -190,76 +207,58 @@ class Server {
     DoneFn done;
     sim::SimTime arrived = 0;
     double demand = 0.0;  // sampled total CPU demand for this visit
-    int calls = 0;        // downstream sub-requests this visit issues
-    int call_index = 0;   // current sub-request (they are strictly sequential)
-    bool conn_held = false;  // legacy path: connection held for current call
     bool holds_worker = false;
-
-    // Fan-out join state (untouched on single-edge servers).
-    InlineVec<BranchScratch, kMaxFanOut> branches;
-    int branches_pending = 0;
-    bool branch_failed = false;
-
-    // Tracing scratch (written only when request->trace is non-null; the
-    // visit's phases are strictly sequential, so one slot per kind suffices).
+    // Join over the visit's edge calls.
+    int pending_edges = 0;
+    bool edge_failed = false;
+    // Tracing scratch (written only when request->trace is non-null; CPU
+    // phases are strictly sequential, so one slot suffices).
     sim::SimTime cpu_submitted = 0;
     double cpu_work = 0.0;
-    sim::SimTime conn_requested = 0;
-    sim::SimTime downstream_started = 0;
   };
+  using VisitHandle = Slab<VisitState>::Handle;
 
-  /// Per-attempt settlement record for a retried sub-request. Exactly one of
-  /// {downstream response, deadline expiry} settles the attempt by freeing
-  /// its slot; whichever loses the race finds a stale handle and becomes a
-  /// no-op, so a visit can never complete (or release a connection) twice.
-  struct AttemptState {
+  /// The calls one visit makes along one out-edge: issued one at a time,
+  /// each attempt settled by exactly one of {response, deadline}. The slot
+  /// lives from the edge's first call to its settlement (or, after a crash,
+  /// until its last pending continuation finds the visit gone).
+  struct CallState {
     VisitHandle visit;
+    int edge = 0;   // index into edges_
+    int calls = 0;  // calls this visit makes along the edge
+    int index = 0;  // current call
     int attempt = 0;
     bool conn_held = false;
+    bool awaiting_conn = false;  // queued on the edge pool
     sim::EventHandle timeout;
+    // Tracing scratch.
+    sim::SimTime conn_requested = 0;
+    sim::SimTime started = 0;
+  };
+  using CallHandle = Slab<CallState>::Handle;
+
+  struct Edge {
+    Tier* target = nullptr;
+    int edge_id = 0;
+    std::unique_ptr<SlotPool> pool;
   };
 
-  struct VisitSlot {
-    VisitState state;
-    uint32_t gen = 0;
-    uint32_t next_free = kNilIndex;
-    bool live = false;
-  };
-  struct AttemptSlot {
-    AttemptState state;
-    uint32_t gen = 0;
-    uint32_t next_free = kNilIndex;
-    bool live = false;
-  };
-
-  VisitHandle alloc_visit();
-  void free_visit(VisitHandle h);
-  /// nullptr if `h` is stale. The pointer is invalidated by alloc_visit
-  /// (slab growth) — refetch after any call that can admit a new visit.
-  VisitState* visit(VisitHandle h);
-  AttemptHandle alloc_attempt();
-  void free_attempt(AttemptHandle h);
-  AttemptState* attempt(AttemptHandle h);
-
+  int planned_calls(const RequestContext& request, const Edge& edge) const;
   void on_worker_granted(VisitHandle h);
   void start_visit(VisitHandle h);
-  void on_cpu_done_finish(VisitHandle h);      // CPU-only / post phase done
-  void on_cpu_done_downstream(VisitHandle h);  // pre phase done
-  void issue_downstream(VisitHandle h);
-  void on_cpu_done_fanout(VisitHandle h);      // pre phase done, fan-out node
-  void start_branch_call(VisitHandle h, int branch);
-  void on_branch_conn(VisitHandle h, int branch);
-  void forward_branch(VisitHandle h, int branch, bool conn_held);
-  void on_branch_response(VisitHandle h, int branch, bool ok);
-  void settle_branch(VisitHandle h, bool ok);
-  void on_conn_granted_legacy(VisitHandle h);
-  void forward_legacy(VisitHandle h, bool conn_held);
-  void on_legacy_response(VisitHandle h, bool ok);
-  void on_conn_granted_retry(VisitHandle h);
-  void dispatch_downstream(VisitHandle h, int attempt, bool conn_held);
-  void on_attempt_response(AttemptHandle ah, bool ok);
-  void on_attempt_timeout(AttemptHandle ah);
-  void on_subrequest_result(VisitHandle h, int attempt, bool conn_held, bool ok);
+  void on_cpu_done_finish(VisitHandle h);  // CPU-only / post phase done
+  void on_cpu_done_pre(VisitHandle h);     // pre phase done: issue edge calls
+  void start_call(CallHandle ch, CallState& c, const VisitState& v);
+  void on_conn_granted(CallHandle ch);
+  void dispatch_call(CallHandle ch, CallState& c, const VisitState& v);
+  void on_call_response(CallHandle ch, bool ok);
+  void on_call_timeout(CallHandle ch);
+  void on_backoff_done(CallHandle ch);
+  /// The call's visit, or nullptr after freeing the call (the server
+  /// crashed while the call was pending).
+  VisitState* live_visit_or_free(CallHandle ch, const CallState& c);
+  void on_call_result(CallHandle ch, CallState& c, VisitState& v, bool ok);
+  void settle_edge(VisitHandle h, bool ok);
   void finish_visit(VisitHandle h, bool ok);
   void begin_cpu_span(VisitState& visit, double work);
   void end_cpu_span(VisitState& visit);
@@ -274,18 +273,9 @@ class Server {
   double demand_ln_sigma_ = 0.0;
 
   SlotPool workers_;
-  std::unique_ptr<SlotPool> conns_;  // created when downstream_connections>0
   CpuScheduler cpu_;
-  Tier* downstream_ = nullptr;
-  int primary_edge_id_;  // single-edge id; defaults to depth (chain indexing)
-  /// Installed fan-out edge with its optional per-server pool.
-  struct FanoutEdge {
-    Tier* target = nullptr;
-    int edge_id = 0;
-    std::unique_ptr<SlotPool> pool;
-  };
-  std::vector<FanoutEdge> fanout_;
-  SlotPool* managed_pool_ = nullptr;  // the managed fan-out edge's pool
+  std::vector<Edge> edges_;
+  SlotPool* managed_pool_ = nullptr;  // the managed edge's pool
   SubRequestRetryPolicy retry_;
 
   uint64_t completed_ = 0;
@@ -299,10 +289,8 @@ class Server {
   uint64_t epoch_ = 0;  // crash count (crashed_since_start)
   uint64_t next_visit_id_ = 0;
 
-  std::vector<VisitSlot> visit_slab_;
-  uint32_t visit_free_head_ = kNilIndex;
-  std::vector<AttemptSlot> attempt_slab_;
-  uint32_t attempt_free_head_ = kNilIndex;
+  Slab<VisitState> visits_;
+  Slab<CallState> calls_;
   std::vector<std::pair<uint64_t, uint32_t>> crash_scratch_;  // (visit_id, slot)
 };
 

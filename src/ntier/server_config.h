@@ -24,10 +24,6 @@ struct ServerConfig {
   /// drop, they queue.
   int max_queue = 1'000'000;
 
-  /// Connection pool size toward the downstream tier (Tomcat's DBConnP).
-  /// Ignored for leaf servers.
-  int downstream_connections = 80;
-
   /// Fraction of a visit's CPU demand executed before downstream calls; the
   /// remainder runs after the last call completes.
   double pre_fraction = 0.5;

@@ -23,11 +23,10 @@
 // issues each edge's calls sequentially per edge, edges concurrently, and
 // resumes its post-processing CPU phase only after every edge settles; any
 // sub-request failure fails the whole visit once outstanding branches drain.
-//
-// A chain declared in depth order (edge i = depth i → depth i+1) is the
-// degenerate case and reproduces the legacy wiring bit-for-bit: edge id
-// equals the issuing tier's depth, so per-edge request plans coincide with
-// the historical per-tier hop lists.
+// A chain is the degenerate case in which every node has at most one
+// out-edge; the canonical chains (core::build_service_graph's chain3/chain4)
+// declare their edges in depth order, so edge id equals the issuing tier's
+// depth. Connection pools exist only on edges.
 #pragma once
 
 #include <cstddef>
@@ -99,8 +98,7 @@ class ServiceGraph {
   const std::vector<double>& visit_ratios() const { return visit_ratios_; }
 
   /// True when the graph is a linear chain declared in depth order
-  /// (edge i connects node i → node i+1) — the degenerate case equivalent
-  /// to the legacy tier-chain wiring.
+  /// (edge i connects node i → node i+1).
   bool is_chain() const;
 
   /// Lowest-id node with the given role, or -1.

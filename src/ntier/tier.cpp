@@ -13,9 +13,7 @@ Tier::Tier(sim::Engine& engine, TierConfig config, int depth, Rng& rng)
       depth_(depth),
       rng_(rng.fork()),
       balancer_(config_.lb_policy),
-      primary_edge_id_(depth),
-      current_stp_(config_.server.max_threads),
-      current_conns_(config_.server.downstream_connections) {
+      current_stp_(config_.server.max_threads) {
   DCM_CHECK(config_.initial_vms >= 1);
   DCM_CHECK(config_.min_vms >= 1);
   DCM_CHECK(config_.max_vms >= config_.initial_vms);
@@ -23,28 +21,15 @@ Tier::Tier(sim::Engine& engine, TierConfig config, int depth, Rng& rng)
   for (int i = 0; i < config_.initial_vms; ++i) launch_vm(/*boot_delay=*/0);
 }
 
-void Tier::set_downstream(Tier* tier) { set_downstream_edge(tier, depth_); }
-
-void Tier::set_downstream_edge(Tier* tier, int edge_id) {
-  DCM_CHECK_MSG(fanout_specs_.empty(), "tier already has fan-out edges");
-  downstream_ = tier;
-  primary_edge_id_ = edge_id;
-  for (auto& vm : vms_) {
-    vm->server().set_downstream(tier);
-    vm->server().set_primary_edge_id(edge_id);
-  }
-}
-
-void Tier::set_fanout_edges(const std::vector<ServerFanoutEdge>& edges) {
-  DCM_CHECK_MSG(downstream_ == nullptr, "tier already has a single downstream edge");
-  DCM_CHECK_MSG(fanout_specs_.empty(), "fan-out edges already set");
-  fanout_specs_ = edges;
+void Tier::set_out_edges(std::vector<OutEdge> edges) {
+  DCM_CHECK_MSG(out_edges_.empty(), "out-edges already set");
+  out_edges_ = std::move(edges);
   // The managed edge's pool is the tier's downstream-connection allocation
   // from here on (the APP-agent resizes it via set_downstream_connections).
-  for (const auto& e : fanout_specs_) {
+  for (const auto& e : out_edges_) {
     if (e.managed) current_conns_ = e.pool_capacity;
   }
-  for (auto& vm : vms_) vm->server().set_fanout_edges(fanout_specs_);
+  for (auto& vm : vms_) vm->server().set_out_edges(out_edges_);
 }
 
 Vm& Tier::launch_vm(sim::SimTime boot_delay) {
@@ -59,21 +44,11 @@ Vm& Tier::launch_vm(sim::SimTime boot_delay) {
   // Later-launched VMs inherit the tier's current soft-resource allocation,
   // not the template's.
   server_config.max_threads = current_stp_;
-  if (server_config.downstream_connections > 0) {
-    server_config.downstream_connections = current_conns_;
-  }
   auto server = std::make_unique<Server>(*engine_, std::move(server_config), depth_, rng_.fork());
-  server->set_downstream(downstream_);
-  server->set_primary_edge_id(primary_edge_id_);
-  if (!fanout_specs_.empty()) {
-    // Fresh VMs inherit the tier's edges with the managed pool at the
-    // current allocation, mirroring the thread/connection inheritance above.
-    std::vector<ServerFanoutEdge> specs = fanout_specs_;
-    for (auto& e : specs) {
-      if (e.managed) e.pool_capacity = current_conns_;
-    }
-    server->set_fanout_edges(specs);
+  for (auto& e : out_edges_) {
+    if (e.managed) e.pool_capacity = current_conns_;
   }
+  server->set_out_edges(out_edges_);
   server->set_subrequest_retry(retry_policy_);
   std::snprintf(name_buf, sizeof(name_buf), "%s-vm%d", config_.name.c_str(),
                 next_vm_index_);

@@ -115,19 +115,11 @@ class Tier {
   Tier(const Tier&) = delete;
   Tier& operator=(const Tier&) = delete;
 
-  void set_downstream(Tier* tier);
-  Tier* downstream() const { return downstream_; }
-
-  /// Wires the tier's single out-edge with its service-graph edge id (the
-  /// index into each request's downstream_calls plan). set_downstream(t) is
-  /// shorthand for set_downstream_edge(t, depth) — the chain convention.
-  void set_downstream_edge(Tier* tier, int edge_id);
-
-  /// Wires ≥2 concurrent out-edges (fan-out node). Applied to every live
-  /// server; VMs launched later inherit the edges, with the managed edge's
-  /// pool sized to the tier's current connection allocation. Mutually
-  /// exclusive with set_downstream.
-  void set_fanout_edges(const std::vector<ServerFanoutEdge>& edges);
+  /// Installs the tier's out-edges on every live server; VMs launched later
+  /// inherit them, with the managed edge's pool sized to the tier's current
+  /// connection allocation. The managed edge's capacity seeds that
+  /// allocation. Call once.
+  void set_out_edges(std::vector<OutEdge> edges);
 
   /// Routes one visit through the load balancer. done(false) if no server
   /// is in service.
@@ -213,13 +205,11 @@ class Tier {
   int depth_;
   Rng rng_;
   LoadBalancer balancer_;
-  Tier* downstream_ = nullptr;
-  int primary_edge_id_;  // single out-edge id; defaults to depth (chain)
-  std::vector<ServerFanoutEdge> fanout_specs_;  // fan-out template for VMs
+  std::vector<OutEdge> out_edges_;  // template for every VM's server
   std::vector<std::unique_ptr<Vm>> vms_;
   int next_vm_index_ = 0;
   int current_stp_;
-  int current_conns_;
+  int current_conns_ = 0;
   SubRequestRetryPolicy retry_policy_;
   std::vector<std::function<void(Vm&)>> vm_activated_;
 

@@ -8,12 +8,6 @@
 
 namespace dcm::workload {
 
-RequestFactory catalog_factory(const ServletCatalog& catalog) {
-  return [&catalog](sim::Arena* arena, uint64_t id, Rng& rng, sim::SimTime now) {
-    return catalog.make_request(id, catalog.sample(rng), now, arena);
-  };
-}
-
 RequestFactory graph_request_factory(const ServletCatalog& catalog,
                                      const ntier::ServiceGraph& graph) {
   struct EdgePlan {
@@ -30,8 +24,8 @@ RequestFactory graph_request_factory(const ServletCatalog& catalog,
   }
   return [&catalog, roles = std::move(roles), edges = std::move(edges)](
              sim::Arena* arena, uint64_t id, Rng& rng, sim::SimTime now) {
-    // One weighted draw — the same single rng consumption as catalog_factory,
-    // so swapping factories never shifts any random stream.
+    // Exactly one weighted draw per request: the plan never shifts any
+    // random stream, whatever the topology.
     const size_t servlet_index = catalog.sample(rng);
     const Servlet& s = catalog.servlet(servlet_index);
     auto req = ntier::make_request_context(arena);
@@ -235,8 +229,8 @@ std::unique_ptr<ClosedLoopGenerator> make_jmeter(sim::Engine& engine, ntier::NTi
   config.users = users;
   config.think_time = nullptr;
   config.seed = seed;
-  return std::make_unique<ClosedLoopGenerator>(engine, app, catalog_factory(catalog),
-                                               std::move(config));
+  return std::make_unique<ClosedLoopGenerator>(
+      engine, app, graph_request_factory(catalog, *app.graph()), std::move(config));
 }
 
 std::unique_ptr<ClosedLoopGenerator> make_jmeter(sim::Engine& engine, ntier::NTierApp& app,
@@ -259,8 +253,8 @@ std::unique_ptr<ClosedLoopGenerator> make_rubbos_clients(sim::Engine& engine,
   config.users = users;
   config.think_time = sim::make_exponential(mean_think_seconds);
   config.seed = seed;
-  return std::make_unique<ClosedLoopGenerator>(engine, app, catalog_factory(catalog),
-                                               std::move(config));
+  return std::make_unique<ClosedLoopGenerator>(
+      engine, app, graph_request_factory(catalog, *app.graph()), std::move(config));
 }
 
 std::unique_ptr<ClosedLoopGenerator> make_rubbos_clients(sim::Engine& engine,

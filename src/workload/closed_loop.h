@@ -6,8 +6,8 @@
 //   * RUBBoS client mode — ~3 s mean think time between consecutive
 //     requests of the same user (Sec. II-A).
 // make_jmeter()/make_rubbos_clients() build the two against a servlet
-// catalog; a custom RequestFactory supports non-standard targets (e.g.
-// stressing a MySQL-only deployment with raw queries, Fig. 2a). The user
+// catalog, planning each request over the app's service graph; a custom
+// RequestFactory supports instrumented or non-standard request plans. The user
 // count can be changed at runtime (set_user_count), which is what the trace
 // player uses to emulate the revised RUBBoS client.
 #pragma once
@@ -34,18 +34,12 @@ namespace dcm::workload {
 using RequestFactory = std::function<ntier::RequestPtr(sim::Arena* arena, uint64_t id,
                                                        Rng& rng, sim::SimTime now)>;
 
-/// Factory drawing servlets from a catalog (the standard 3-tier workload).
-/// The catalog must outlive the returned factory.
-RequestFactory catalog_factory(const ServletCatalog& catalog);
-
 /// Factory deriving each request's plan from a service graph: one weighted
-/// servlet draw (exactly the catalog factory's single rng consumption), then
-/// per-node demand scales assigned by node role (web/app/db map to the
-/// servlet's per-tier scales, lb/cache nodes are 1.0) and per-edge call
-/// counts from the edge spec (fixed, or the sampled servlet's query count
-/// for servlet-calls edges). On a depth-ordered chain graph this emits the
-/// same plan as catalog_factory. The catalog must outlive the factory; the
-/// graph is copied into it.
+/// servlet draw, then per-node demand scales assigned by node role
+/// (web/app/db map to the servlet's per-tier scales, lb/cache nodes are 1.0)
+/// and per-edge call counts from the edge spec (fixed, or the sampled
+/// servlet's query count for servlet-calls edges). The catalog must outlive
+/// the factory; the graph is copied into it.
 RequestFactory graph_request_factory(const ServletCatalog& catalog,
                                      const ntier::ServiceGraph& graph);
 
@@ -147,7 +141,8 @@ class ClosedLoopGenerator {
   ClientStats stats_;
 };
 
-/// Zero-think-time generator: `users` == offered concurrency.
+/// Zero-think-time generator: `users` == offered concurrency. Requests are
+/// planned over the app's service graph (graph_request_factory).
 std::unique_ptr<ClosedLoopGenerator> make_jmeter(sim::Engine& engine, ntier::NTierApp& app,
                                                  const ServletCatalog& catalog, int users,
                                                  uint64_t seed = 42);
@@ -158,7 +153,8 @@ std::unique_ptr<ClosedLoopGenerator> make_jmeter(sim::Engine& engine, ntier::NTi
                                                  RequestFactory factory, int users,
                                                  uint64_t seed = 42);
 
-/// Realistic RUBBoS clients with exponential think time (default mean 3 s).
+/// Realistic RUBBoS clients with exponential think time (default mean 3 s),
+/// planned over the app's service graph like make_jmeter.
 std::unique_ptr<ClosedLoopGenerator> make_rubbos_clients(sim::Engine& engine,
                                                          ntier::NTierApp& app,
                                                          const ServletCatalog& catalog, int users,

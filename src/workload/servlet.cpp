@@ -89,21 +89,6 @@ size_t ServletCatalog::sample(Rng& rng) const {
   return cumulative_.size() - 1;
 }
 
-ntier::RequestPtr ServletCatalog::make_request(uint64_t id, size_t servlet_index,
-                                               sim::SimTime now, sim::Arena* arena) const {
-  DCM_CHECK(servlet_index < servlets_.size());
-  const Servlet& s = servlets_[servlet_index];
-  auto req = ntier::make_request_context(arena);
-  req->id = id;
-  req->servlet = static_cast<int>(servlet_index);
-  req->created = now;
-  req->demand_scale = {s.web_scale, s.app_scale, s.db_scale};
-  // Tier 0 (web) makes one call to the app tier; the app tier issues the
-  // servlet's queries; the DB tier is a leaf.
-  req->downstream_calls = {1, s.db_queries, 0};
-  return req;
-}
-
 double ServletCatalog::mean_db_queries() const {
   double q = 0.0;
   for (const auto& s : servlets_) q += s.weight * s.db_queries;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ntier/request.h"
 
 namespace dcm::workload {
 
@@ -41,12 +40,6 @@ class ServletCatalog {
 
   /// Weighted draw of a servlet index.
   size_t sample(Rng& rng) const;
-
-  /// Builds a RequestContext for a 3-tier deployment (web/app/db) from a
-  /// sampled servlet. When `arena` is non-null the context is arena-backed
-  /// (allocation-free in steady state); see make_request_context.
-  ntier::RequestPtr make_request(uint64_t id, size_t servlet_index, sim::SimTime now,
-                                 sim::Arena* arena = nullptr) const;
 
   /// Weighted mean of db_queries across the mix.
   double mean_db_queries() const;

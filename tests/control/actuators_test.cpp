@@ -10,7 +10,8 @@ namespace {
 class ActuatorsTest : public ::testing::Test {
  protected:
   ActuatorsTest()
-      : app_(engine_, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80})),
+      : app_(engine_,
+             core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1),
         vm_agent_(engine_, app_, log_),
         app_agent_(engine_, app_, log_) {}
 

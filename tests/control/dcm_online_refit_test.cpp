@@ -14,7 +14,9 @@ namespace {
 
 class DcmOnlineRefitTest : public ::testing::Test {
  protected:
-  DcmOnlineRefitTest() : app_(engine_, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80})) {
+  DcmOnlineRefitTest()
+      : app_(engine_,
+             core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1) {
     bus::TopicConfig config;
     config.partitions = 4;
     broker_.create_topic(ntier::kMetricsTopic, config);

@@ -87,7 +87,9 @@ void publish(bus::Producer& producer, sim::SimTime t, const std::string& tier, i
 
 class FlapTest : public ::testing::Test {
  protected:
-  FlapTest() : app_(engine_, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80})) {
+  FlapTest()
+      : app_(engine_,
+             core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1) {
     bus::TopicConfig config;
     config.partitions = 4;
     broker_.create_topic(ntier::kMetricsTopic, config);

@@ -18,7 +18,9 @@ int count_actions(const ControlLog& log, const std::string& action) {
 
 class WatchdogTest : public ::testing::Test {
  protected:
-  WatchdogTest() : app_(engine_, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80})) {
+  WatchdogTest()
+      : app_(engine_,
+             core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1) {
     bus::TopicConfig config;
     config.partitions = 4;
     broker_.create_topic(ntier::kMetricsTopic, config);

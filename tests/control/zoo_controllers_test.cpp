@@ -33,7 +33,10 @@ void publish(bus::Producer& producer, sim::SimTime t, const std::string& tier, i
 class ZooTest : public ::testing::Test {
  protected:
   explicit ZooTest(int max_vms_per_tier = 8)
-      : app_(engine_, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}, 1, max_vms_per_tier)) {
+      : app_(engine_,
+             core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80},
+                                       max_vms_per_tier),
+             1) {
     bus::TopicConfig config;
     config.partitions = 4;
     broker_.create_topic(ntier::kMetricsTopic, config);

@@ -19,7 +19,9 @@ FaultEvent crash_at(double t) {
 
 class FaultInjectorTest : public ::testing::Test {
  protected:
-  FaultInjectorTest() : app_(engine_, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80})) {
+  FaultInjectorTest()
+      : app_(engine_,
+             core::build_service_graph(core::TopologySpec{}, {1, 2, 1}, {1000, 100, 80}), 1) {
     broker_.create_topic(ntier::kMetricsTopic);
   }
 
@@ -144,7 +146,8 @@ TEST_F(FaultInjectorTest, InjectionLogIsReproducible) {
 
   auto run_once = [&plan] {
     sim::Engine engine;
-    ntier::NTierApp app(engine, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80}));
+    ntier::NTierApp app(
+        engine, core::build_service_graph(core::TopologySpec{}, {1, 2, 1}, {1000, 100, 80}), 1);
     bus::Broker broker;
     broker.create_topic(ntier::kMetricsTopic);
     FaultInjector injector(engine, app, broker, nullptr, plan);

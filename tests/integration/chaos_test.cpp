@@ -13,7 +13,8 @@ namespace {
 
 TEST(ChaosTest, TierAbsorbsSingleVmFailure) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 2, 1}, {1000, 100, 80}), 1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
   // Zero-think closed loop keeps both Tomcats busy at every instant, so the
   // crash is guaranteed to hit in-flight requests.
@@ -35,7 +36,8 @@ TEST(ChaosTest, TierAbsorbsSingleVmFailure) {
 
 TEST(ChaosTest, ControllerReplacesFailedCapacity) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 2, 1}, {1000, 100, 80}), 1);
   bus::Broker broker;
   ntier::MonitorFleet fleet(engine, app, broker);
   control::Ec2AutoScaleController controller(engine, app, broker);
@@ -59,7 +61,8 @@ TEST(ChaosTest, ControllerReplacesFailedCapacity) {
 
 TEST(ChaosTest, RepeatedFailuresDoNotWedgeTheSystem) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 3, 2}, {1000, 100, 40}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 3, 2}, {1000, 100, 40}), 1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
   auto generator = workload::make_rubbos_clients(engine, app, catalog, 150);
   generator->start();

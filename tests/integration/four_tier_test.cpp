@@ -14,13 +14,7 @@ namespace {
 std::unique_ptr<workload::ClosedLoopGenerator> make_4tier_clients(
     sim::Engine& engine, ntier::NTierApp& app, const workload::ServletCatalog& catalog,
     int users) {
-  workload::ClosedLoopConfig config;
-  config.users = users;
-  config.think_time = sim::make_exponential(3.0);
-  config.seed = 77;
-  return std::make_unique<workload::ClosedLoopGenerator>(
-      engine, app, workload::graph_request_factory(catalog, *app.graph()),
-      std::move(config));
+  return workload::make_rubbos_clients(engine, app, catalog, users, 3.0, /*seed=*/77);
 }
 
 TEST(FourTierTest, TopologyHasFourTiersWithLbBetweenAppAndDb) {
@@ -56,13 +50,29 @@ TEST(FourTierTest, RequestsFlowThroughAllFourTiers) {
               catalog.mean_db_queries(), 0.1);
 }
 
+TEST(FourTierTest, CatalogClientsReachTheDbTier) {
+  // Regression: the catalog overloads once planned every request for the
+  // 3-tier chain, so on chain4 the lb→db edge got 0 calls (MySQL was never
+  // visited) and HAProxy received the db demand scale.
+  sim::Engine engine;
+  ntier::NTierApp app(engine, core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}), 1);
+  const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
+  auto generator = workload::make_rubbos_clients(engine, app, catalog, 20);
+  generator->start();
+  engine.run_until(sim::from_seconds(20.0));
+  ASSERT_GT(generator->stats().completed(), 0u);
+  EXPECT_GT(app.tier(3).completed(), 0u);
+  EXPECT_GE(app.tier(3).completed(), app.tier(2).completed());  // one query per lb hop
+}
+
 TEST(FourTierTest, LbTierAddsNegligibleLatency) {
   // Same workload on 3-tier and 4-tier: the extra hop costs microseconds.
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
   double rt3, rt4;
   {
     sim::Engine engine;
-    ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
+    ntier::NTierApp app(
+        engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
     auto generator = workload::make_rubbos_clients(engine, app, catalog, 100, 3.0, 77);
     generator->start();
     engine.run_until(sim::from_seconds(90.0));

@@ -123,7 +123,7 @@ TEST(GraphTopologyTest, FiveWayFanOutJoinsCleanly) {
   }
 }
 
-// A 10-node chain graph — deeper than the legacy kMaxTiers=8 inline arrays.
+// A 10-node chain graph — deeper than the old 8-deep inline chain arrays.
 TEST(GraphTopologyTest, TenNodeChainRunsEndToEnd) {
   core::TopologySpec spec;
   spec.kind = core::TopologySpec::Kind::kGraph;

@@ -111,7 +111,8 @@ TEST(VisitRatioEstimatorTest, RecoversMixVisitRatioFromSimulation) {
   // End-to-end: measure V_db of the browse-only mix from real tier
   // completion counts, as the forced-flow law prescribes.
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
   auto generator = workload::make_rubbos_clients(engine, app, catalog, 100);
   generator->start();

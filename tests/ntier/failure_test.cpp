@@ -14,7 +14,6 @@ ServerConfig slow_leaf(int threads = 4) {
   config.name = "leaf";
   config.cpu.params = {0.5, 0.0, 0.0};  // slow: requests stay in flight
   config.max_threads = threads;
-  config.downstream_connections = 0;
   config.pre_fraction = 1.0;
   return config;
 }
@@ -77,9 +76,8 @@ TEST(ServerCrashTest, UpstreamSeesDownstreamCrashAsFailure) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(3));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
 
   int ok = 0, failed = 0;
   auto req = std::make_shared<RequestContext>();
@@ -109,9 +107,8 @@ TEST(ServerCrashTest, UpstreamCrashIgnoresLateDownstreamResponses) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(5));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
 
   int failed = 0;
   auto req = std::make_shared<RequestContext>();
@@ -222,9 +219,8 @@ TEST(ServerCrashTest, NestedDownstreamCrashFailsEachVisitExactlyOnce) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(12));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
 
   auto req = std::make_shared<RequestContext>();
   req->demand_scale = {1.0, 1.0};
@@ -247,6 +243,63 @@ TEST(ServerCrashTest, NestedDownstreamCrashFailsEachVisitExactlyOnce) {
   }
   EXPECT_EQ(upstream.in_flight(), 0);
   EXPECT_EQ(upstream.downstream_connections_in_use(), 0);
+}
+
+TEST(ServerCrashTest, FanOutCrashFailsEachVisitExactlyOnce) {
+  // A fan-out server crashes with branch calls in flight on both edges and
+  // more queued on both edge pools. Each visit fails once, at the crash;
+  // the late branch responses are ignored; every edge pool is free again.
+  sim::Engine engine;
+  Rng rng(13);
+  TierConfig cache;
+  cache.name = "cache";
+  cache.server = slow_leaf(8);
+  Tier cache_tier(engine, cache, 1, rng);
+  TierConfig db;
+  db.name = "db";
+  db.server = slow_leaf(8);
+  Tier db_tier(engine, db, 2, rng);
+
+  ServerConfig up;
+  up.name = "app";
+  up.cpu.params = {0.01, 0.0, 0.0};
+  up.max_threads = 8;
+  Server upstream(engine, up, 0, Rng(14));
+  upstream.set_out_edges({{&cache_tier, /*edge_id=*/0, /*pool_capacity=*/4, /*managed=*/false},
+                          {&db_tier, /*edge_id=*/1, /*pool_capacity=*/2, /*managed=*/true}});
+
+  auto req = std::make_shared<RequestContext>();
+  req->demand_scale = {1.0, 1.0, 1.0};
+  req->downstream_calls = {1, 1};
+  std::vector<int> done_counts(5, 0);
+  std::vector<bool> results(5, true);
+  for (int i = 0; i < 5; ++i) {
+    upstream.process(req, [&done_counts, &results, i](bool ok) {
+      ++done_counts[i];
+      results[i] = ok;
+    });
+  }
+  engine.run_until(sim::from_seconds(0.1));  // branches in flight and queued
+  ASSERT_EQ(upstream.downstream_connections_in_use(), 2);
+
+  upstream.crash();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(done_counts[i], 1) << "visit " << i;
+    EXPECT_FALSE(results[i]) << "visit " << i;
+  }
+  EXPECT_EQ(upstream.downstream_connections_in_use(), 0);
+
+  // Four fresh visits need all four cache-pool slots: they complete only if
+  // the crash left no slot held by a pre-crash branch.
+  int fresh_ok = 0;
+  for (int i = 0; i < 4; ++i) upstream.process(req, [&](bool ok) { fresh_ok += ok ? 1 : 0; });
+  engine.run_until(sim::from_seconds(30.0));
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(done_counts[i], 1) << "visit " << i;
+  EXPECT_EQ(fresh_ok, 4);
+  EXPECT_EQ(upstream.in_flight(), 0);
+  EXPECT_EQ(upstream.downstream_connections_in_use(), 0);
+  EXPECT_EQ(cache_tier.completed(), 4u + 4u);  // pre-crash calls finished normally
+  EXPECT_EQ(db_tier.completed(), 2u + 4u);
 }
 
 TEST(VmFailTest, CannotFailDeadVm) {

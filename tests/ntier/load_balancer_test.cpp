@@ -15,7 +15,6 @@ ServerConfig tiny(const std::string& name) {
   config.name = name;
   config.cpu.params = {0.01, 0.0, 0.0};
   config.max_threads = 100;
-  config.downstream_connections = 0;
   return config;
 }
 

@@ -11,7 +11,8 @@ namespace {
 
 TEST(MonitorFailureTest, FailedVmStopsPublishing) {
   sim::Engine engine;
-  NTierApp app(engine, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80}));
+  NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 2, 1}, {1000, 100, 80}), 1);
   bus::Broker broker;
   MonitorFleet fleet(engine, app, broker);
 
@@ -38,7 +39,8 @@ TEST(MonitorFailureTest, FailedVmStopsPublishing) {
 
 TEST(MonitorFailureTest, DrainingVmStillReportsUntilStopped) {
   sim::Engine engine;
-  NTierApp app(engine, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80}));
+  NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 2, 1}, {1000, 100, 80}), 1);
   bus::Broker broker;
   MonitorFleet fleet(engine, app, broker);
 

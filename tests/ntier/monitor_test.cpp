@@ -14,7 +14,8 @@ namespace {
 class MonitorTest : public ::testing::Test {
  protected:
   MonitorTest()
-      : app_(engine_, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80})),
+      : app_(engine_,
+             core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1),
         fleet_(engine_, app_, broker_),
         catalog_(workload::ServletCatalog::browse_only_mix()) {}
 

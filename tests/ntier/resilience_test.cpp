@@ -1,6 +1,7 @@
 // Resilience mechanisms at the ntier layer: passive balancer health checks,
 // the tier health sweep (eject + replacement launch = MTTR), and the
-// inter-tier sub-request deadline/retry discipline.
+// inter-tier sub-request deadline/retry discipline on chain and fan-out
+// edges alike.
 #include <gtest/gtest.h>
 
 #include "core/topologies.h"
@@ -15,7 +16,6 @@ ServerConfig slow_leaf(int threads = 4, double service_s = 0.5) {
   config.name = "leaf";
   config.cpu.params = {service_s, 0.0, 0.0};
   config.max_threads = threads;
-  config.downstream_connections = 0;
   config.pre_fraction = 1.0;
   return config;
 }
@@ -145,9 +145,8 @@ TEST(SubRequestRetryTest, RetryRecoversVisitAfterDownstreamFastFail) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(9));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
   SubRequestRetryPolicy retry;
   retry.max_retries = 1;
   retry.backoff_base_seconds = 0.01;
@@ -182,9 +181,8 @@ TEST(SubRequestRetryTest, DeadlineExpirationsAreCountedAndBounded) {
   up.name = "app";
   up.cpu.params = {0.01, 0.0, 0.0};
   up.max_threads = 8;
-  up.downstream_connections = 8;
   Server upstream(engine, up, 0, Rng(11));
-  upstream.set_downstream(&db_tier);
+  upstream.set_out_edges({{&db_tier, /*edge_id=*/0, /*pool_capacity=*/8, /*managed=*/true}});
   SubRequestRetryPolicy retry;
   retry.timeout_seconds = 0.01;
   retry.max_retries = 1;
@@ -211,6 +209,96 @@ TEST(SubRequestRetryTest, DeadlineExpirationsAreCountedAndBounded) {
   EXPECT_EQ(upstream.in_flight(), 0);
   EXPECT_EQ(upstream.downstream_connections_in_use(), 0);
   EXPECT_EQ(db_tier.completed(), 2u);
+}
+
+// A fan-out node: a cache branch (edge 0, no pool) and a db branch (edge 1,
+// the managed pool), joined before the post-CPU phase.
+std::unique_ptr<Server> fanout_server(sim::Engine& engine, Tier* cache, Tier* db,
+                                      const SubRequestRetryPolicy& retry) {
+  ServerConfig up;
+  up.name = "app";
+  up.cpu.params = {0.01, 0.0, 0.0};
+  up.max_threads = 8;
+  auto server = std::make_unique<Server>(engine, up, 0, Rng(13));
+  server->set_out_edges({{cache, /*edge_id=*/0, /*pool_capacity=*/0, /*managed=*/false},
+                         {db, /*edge_id=*/1, /*pool_capacity=*/4, /*managed=*/true}});
+  server->set_subrequest_retry(retry);
+  return server;
+}
+
+RequestPtr fanout_request() {
+  auto req = std::make_shared<RequestContext>();
+  req->demand_scale = {1.0, 1.0, 1.0};
+  req->downstream_calls = {1, 1};  // one cache call, one db call
+  return req;
+}
+
+TEST(SubRequestRetryTest, FanOutBranchRecoversFromFastFailThroughRetry) {
+  sim::Engine engine;
+  Rng rng(14);
+  TierConfig cache;
+  cache.name = "cache";
+  cache.server = slow_leaf(8, 0.01);
+  cache.initial_vms = 2;
+  cache.max_vms = 2;
+  Tier cache_tier(engine, cache, 1, rng);
+  TierConfig db;
+  db.name = "db";
+  db.server = slow_leaf(8, 0.05);
+  Tier db_tier(engine, db, 2, rng);
+  // The balancer's first pick is the silently dead cache-vm0: the cache
+  // branch fast-fails once and its retry lands on cache-vm1.
+  ASSERT_TRUE(cache_tier.inject_crash("cache-vm0"));
+
+  SubRequestRetryPolicy retry;
+  retry.max_retries = 1;
+  retry.backoff_base_seconds = 0.01;
+  const auto upstream = fanout_server(engine, &cache_tier, &db_tier, retry);
+  int ok = 0, failed = 0;
+  upstream->process(fanout_request(), [&](bool r) { (r ? ok : failed)++; });
+  engine.run_until(sim::from_seconds(2.0));
+
+  EXPECT_EQ(ok, 1);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(upstream->subrequest_retries(), 1u);
+  EXPECT_EQ(cache_tier.vms()[1]->server().completed(), 1u);
+  EXPECT_EQ(db_tier.completed(), 1u);
+  EXPECT_EQ(upstream->downstream_connections_in_use(), 0);
+}
+
+TEST(SubRequestRetryTest, FanOutBranchDeadlineFailsTheJoinExactlyOnce) {
+  sim::Engine engine;
+  Rng rng(15);
+  TierConfig cache;
+  cache.name = "cache";
+  cache.server = slow_leaf(8, 0.01);
+  Tier cache_tier(engine, cache, 1, rng);
+  TierConfig db;
+  db.name = "db";
+  db.server = slow_leaf(8, 0.5);  // far beyond the 0.1 s deadline
+  Tier db_tier(engine, db, 2, rng);
+
+  SubRequestRetryPolicy retry;
+  retry.timeout_seconds = 0.1;
+  const auto upstream = fanout_server(engine, &cache_tier, &db_tier, retry);
+  int done_count = 0;
+  bool done_ok = true;
+  upstream->process(fanout_request(), [&](bool r) {
+    done_ok = r;
+    ++done_count;
+  });
+  engine.run_until(sim::from_seconds(5.0));
+
+  // The db branch timed out; the cache branch succeeded; the join failed
+  // the visit once, and the db's late response was dropped.
+  EXPECT_EQ(done_count, 1);
+  EXPECT_FALSE(done_ok);
+  EXPECT_EQ(upstream->subrequest_timeouts(), 1u);
+  EXPECT_EQ(upstream->subrequest_retries(), 0u);
+  EXPECT_EQ(cache_tier.completed(), 1u);
+  EXPECT_EQ(db_tier.completed(), 1u);
+  EXPECT_EQ(upstream->in_flight(), 0);
+  EXPECT_EQ(upstream->downstream_connections_in_use(), 0);
 }
 
 }  // namespace

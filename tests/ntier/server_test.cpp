@@ -13,9 +13,20 @@ ServerConfig leaf_config(double s0 = 0.010, int threads = 4) {
   config.name = "leaf";
   config.cpu.params = {s0, 0.0, 0.0};
   config.max_threads = threads;
-  config.downstream_connections = 0;
   config.pre_fraction = 1.0;
   return config;
+}
+
+// An app server calling the db tier along edge 0 through a pool of `conns`.
+std::unique_ptr<Server> app_server(sim::Engine& engine, Tier* db, int conns) {
+  ServerConfig up;
+  up.name = "app";
+  up.cpu.params = {0.010, 0.0, 0.0};
+  up.max_threads = 10;
+  up.pre_fraction = 0.5;
+  auto server = std::make_unique<Server>(engine, up, /*depth=*/0, Rng(3));
+  server->set_out_edges({{db, /*edge_id=*/0, /*pool_capacity=*/conns, /*managed=*/true}});
+  return server;
 }
 
 RequestPtr simple_request(uint64_t id = 1) {
@@ -108,15 +119,7 @@ class TwoTierFixture : public ::testing::Test {
     db.initial_vms = 1;
     db.max_vms = 1;
     db_tier_ = std::make_unique<Tier>(engine_, db, /*depth=*/1, rng_);
-
-    ServerConfig up;
-    up.name = "app";
-    up.cpu.params = {0.010, 0.0, 0.0};
-    up.max_threads = 10;
-    up.downstream_connections = 2;
-    up.pre_fraction = 0.5;
-    upstream_ = std::make_unique<Server>(engine_, up, /*depth=*/0, Rng(3));
-    upstream_->set_downstream(db_tier_.get());
+    upstream_ = app_server(engine_, db_tier_.get(), /*conns=*/2);
   }
 
   RequestPtr nested_request(int calls) {
@@ -183,12 +186,11 @@ TEST_F(TwoTierFixture, DownstreamFailurePropagates) {
   db.server.max_queue = 0;
   Rng rng(5);
   Tier tight(engine_, db, 1, rng);
-  upstream_->set_downstream(&tight);
-  upstream_->set_downstream_connections(4);
+  const auto upstream = app_server(engine_, &tight, /*conns=*/4);
 
   int failures = 0, successes = 0;
   for (int i = 0; i < 4; ++i) {
-    upstream_->process(nested_request(1), [&](bool ok) { (ok ? successes : failures)++; });
+    upstream->process(nested_request(1), [&](bool ok) { (ok ? successes : failures)++; });
   }
   engine_.run_until(sim::from_seconds(2.0));
   EXPECT_EQ(successes + failures, 4);

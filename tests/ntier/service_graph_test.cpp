@@ -77,9 +77,27 @@ TEST(ServiceGraphTest, DiamondFanOutOrderAndRatios) {
   EXPECT_DOUBLE_EQ(graph.visit_ratios()[2], 1.0);
   EXPECT_DOUBLE_EQ(graph.visit_ratios()[3], core::kDbVisitRatio);
   EXPECT_EQ(graph.managed_edge(), 2);
-  // The fan-out node keeps per-edge pools, not the legacy tier-wide conns.
-  EXPECT_EQ(graph.node(1).tier.server.downstream_connections, 0);
+  EXPECT_EQ(graph.edge(1).pool_capacity, 0);
   EXPECT_EQ(graph.edge(2).pool_capacity, 80);
+}
+
+TEST(ServiceGraphTest, LbNodesKeepTheirDeclaredNames) {
+  core::TopologySpec spec;
+  spec.kind = core::TopologySpec::Kind::kGraph;
+  spec.nodes = {{"apache", "web"}, {"gw", "lb"}, {"edge", "lb"}, {"mysql", "db"}};
+  spec.edges = {{"apache", "gw", 1, false, false},
+                {"apache", "edge", 1, false, false},
+                {"gw", "mysql", 1, false, false},
+                {"edge", "mysql", 1, false, false}};
+  const ServiceGraph graph = core::build_service_graph(spec, {1, 1, 1}, {1000, 100, 80});
+  EXPECT_EQ(graph.node(1).tier.name, "gw");
+  EXPECT_EQ(graph.node(2).tier.name, "edge");
+  EXPECT_EQ(graph.node(1).tier.max_vms, 1);  // still the never-scaled HAProxy template
+  sim::Engine engine;
+  NTierApp app(engine, graph, 1);
+  EXPECT_NE(app.find_tier("gw"), nullptr);
+  EXPECT_NE(app.find_tier("edge"), nullptr);
+  EXPECT_EQ(app.find_tier("haproxy"), nullptr);
 }
 
 TEST(ServiceGraphTest, LongChainsBeyondTheLegacyTierCapAreAccepted) {

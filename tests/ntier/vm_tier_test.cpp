@@ -13,7 +13,6 @@ TierConfig tier_config(int initial = 1, int max_vms = 4) {
   config.server.name = "app";
   config.server.cpu.params = {0.010, 0.0, 0.0};
   config.server.max_threads = 8;
-  config.server.downstream_connections = 0;
   config.initial_vms = initial;
   config.min_vms = 1;
   config.max_vms = max_vms;
@@ -137,9 +136,10 @@ TEST(TierTest, ScaleInDrainsNewestVm) {
 TEST(TierTest, NewVmInheritsCurrentSoftAllocation) {
   sim::Engine engine;
   Rng rng(1);
-  TierConfig config = tier_config(1);
-  config.server.downstream_connections = 80;
-  Tier tier(engine, config, 0, rng);
+  Tier db(engine, tier_config(1), 1, rng);
+  Tier tier(engine, tier_config(1), 0, rng);
+  tier.set_out_edges({{&db, /*edge_id=*/0, /*pool_capacity=*/80, /*managed=*/true}});
+  EXPECT_EQ(tier.current_downstream_connections(), 80);
   tier.set_thread_pool_size(20);
   tier.set_downstream_connections(18);
   tier.scale_out();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "workload/closed_loop.h"
 
 namespace dcm::core {
 namespace {
@@ -36,7 +37,7 @@ TEST_P(QueueingLawsTest, ForcedFlowLawAtDbTier) {
   const int users = GetParam();
   // Direct simulation access to compare per-tier completion counts.
   sim::Engine engine;
-  ntier::NTierApp app(engine, rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(engine, build_service_graph(TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
   auto generator = workload::make_rubbos_clients(engine, app, catalog, users);
   generator->start();
@@ -52,7 +53,7 @@ TEST_P(QueueingLawsTest, ForcedFlowLawAtDbTier) {
 TEST_P(QueueingLawsTest, LittlesLawAtFrontTierZeroThink) {
   const int users = GetParam();
   sim::Engine engine;
-  ntier::NTierApp app(engine, rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(engine, build_service_graph(TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
   auto generator = workload::make_jmeter(engine, app, catalog, users);
   generator->start();

@@ -123,45 +123,75 @@ TEST(AllocationFreeTest, ExactCapacityCaptureIsAllocationFree) {
   EXPECT_EQ(allocations(), before);
 }
 
+/// Issues sequential round trips: each completion issues the next request.
+/// The loop captures a single pointer so its own DoneFn stays inside
+/// std::function's SBO — the test must not allocate on its own behalf.
+struct RoundTripLoop {
+  Engine& engine;
+  ntier::NTierApp& app;
+  decltype(ntier::RequestContext::demand_scale) demand_scale;
+  decltype(ntier::RequestContext::downstream_calls) downstream_calls;
+  uint64_t completed = 0;
+  uint64_t issued = 0;
+  void issue() {
+    ntier::RequestPtr request = ntier::make_request_context(&engine.arena());
+    request->id = ++issued;
+    request->created = engine.now();
+    request->demand_scale = demand_scale;
+    request->downstream_calls = downstream_calls;
+    app.submit(request, [this](bool ok) {
+      EXPECT_TRUE(ok);
+      ++completed;
+      if (issued < 1200) issue();
+    });
+  }
+};
+
+/// Warms the app with ~5 sim-seconds of round trips (concurrency is 1
+/// throughout — more than enough to grow every slab to the working set),
+/// then requires the rest of the 1200 trips to leave the allocator alone.
+void expect_allocation_free_round_trips(RoundTripLoop& loop) {
+  loop.issue();
+  loop.engine.run_until(sim::from_seconds(5.0));
+  ASSERT_GE(loop.completed, 100u) << "warm-up did not complete";
+  const uint64_t before = allocations();
+  loop.engine.run_to_completion();
+  EXPECT_EQ(allocations(), before) << "steady-state request round trips allocated";
+  EXPECT_EQ(loop.completed, 1200u);
+}
+
 TEST(AllocationFreeTest, ThreeTierRoundTripIsAllocationFreeAtSteadyState) {
   // End-to-end pin on the request-slab/arena refactor: once the event slab,
-  // the per-server visit slabs, and the request arena have grown to the
-  // working set, a full web → app → db round trip (request construction,
+  // the per-server visit and call slabs, and the request arena have grown to
+  // the working set, a full web → app → db round trip (request construction,
   // worker/connection admission, CPU spans on all three tiers, and the
   // response path back) must not touch the global allocator.
-  // The driver captures a single pointer so its own DoneFn stays inside
-  // std::function's SBO — the test must not allocate on its own behalf.
-  struct Driver {
-    Engine& engine;
-    ntier::NTierApp& app;
-    uint64_t completed = 0;
-    uint64_t issued = 0;
-    void issue() {
-      ntier::RequestPtr request = ntier::make_request_context(&engine.arena());
-      request->id = ++issued;
-      request->created = engine.now();
-      request->demand_scale = {1.0, 1.0, 1.0};
-      request->downstream_calls = {1, 2, 0};  // 1 AJP call, 2 DB queries
-      app.submit(request, [this](bool ok) {
-        EXPECT_TRUE(ok);
-        ++completed;
-        if (issued < 1200) issue();
-      });
-    }
-  };
   Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
-  Driver driver{engine, app};
-  driver.issue();  // sequential round trips: each completion issues the next
-  engine.run_until(sim::from_seconds(5.0));
-  // ~115 sequential trips complete in 5 sim-seconds — more than enough to
-  // grow every slab to the working set (concurrency is 1 throughout).
-  ASSERT_GE(driver.completed, 100u) << "warm-up did not complete";
-  const uint64_t before = allocations();
-  engine.run_to_completion();
-  EXPECT_EQ(allocations(), before)
-      << "steady-state request round trips allocated";
-  EXPECT_EQ(driver.completed, 1200u);
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
+  RoundTripLoop loop{engine, app, {1.0, 1.0, 1.0}, {1, 2}};  // 1 AJP call, 2 DB queries
+  expect_allocation_free_round_trips(loop);
+}
+
+TEST(AllocationFreeTest, FanOutJoinRoundTripIsAllocationFreeAtSteadyState) {
+  // The fanout-join shape: the app tier fans out to two caches and the
+  // managed DB pool concurrently and joins all three branches. Branch calls
+  // ride the same call slab and 16-byte continuations as a chain hop.
+  core::TopologySpec spec;
+  spec.kind = core::TopologySpec::Kind::kGraph;
+  spec.nodes = {{"apache", "web"},
+                {"tomcat", "app"},
+                {"memcache", "cache"},
+                {"redis", "cache"},
+                {"mysql", "db"}};
+  spec.edges = {{"apache", "tomcat", 1, false, false},
+                {"tomcat", "memcache", 1, false, false},
+                {"tomcat", "redis", 2, false, false},
+                {"tomcat", "mysql", 0, true, true}};
+  Engine engine;
+  ntier::NTierApp app(engine, core::build_service_graph(spec, {1, 1, 1}, {1000, 100, 80}), 1);
+  RoundTripLoop loop{engine, app, {1.0, 1.0, 1.0, 1.0, 1.0}, {1, 1, 2, 2}};
+  expect_allocation_free_round_trips(loop);
 }
 
 TEST(AllocationFreeTest, OversizedCapturesHeapBoxButStillWork) {

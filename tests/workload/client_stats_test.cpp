@@ -46,7 +46,8 @@ TEST(ClientStatsTest, PerServletBreakdown) {
 
 TEST(ClientStatsTest, GeneratorsAttributePerServletTimes) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
   const ServletCatalog catalog = ServletCatalog::browse_only_mix();
   auto generator = make_rubbos_clients(engine, app, catalog, 80);
   generator->start();

@@ -10,7 +10,8 @@ namespace {
 class ClosedLoopTest : public ::testing::Test {
  protected:
   ClosedLoopTest()
-      : app_(engine_, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80})),
+      : app_(engine_,
+             core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1),
         catalog_(ServletCatalog::browse_only_mix()) {}
 
   sim::Engine engine_;
@@ -88,7 +89,8 @@ TEST_F(ClosedLoopTest, DeterministicAcrossRuns) {
   uint64_t completed_first = 0;
   for (int run = 0; run < 2; ++run) {
     sim::Engine engine;
-    ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}, /*seed=*/7));
+    ntier::NTierApp app(
+        engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 7);
     auto generator = make_rubbos_clients(engine, app, catalog_, 50, 3.0, /*seed=*/7);
     generator->start();
     engine.run_until(sim::from_seconds(30.0));

@@ -10,7 +10,8 @@ namespace {
 class OpenLoopTest : public ::testing::Test {
  protected:
   OpenLoopTest()
-      : app_(engine_, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80})),
+      : app_(engine_,
+             core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1),
         catalog_(ServletCatalog::browse_only_mix()) {}
 
   sim::Engine engine_;
@@ -19,7 +20,7 @@ class OpenLoopTest : public ::testing::Test {
 };
 
 TEST_F(OpenLoopTest, ThroughputMatchesArrivalRateWhenUnsaturated) {
-  OpenLoopGenerator generator(engine_, app_, catalog_factory(catalog_), 30.0);
+  OpenLoopGenerator generator(engine_, app_, graph_request_factory(catalog_, *app_.graph()), 30.0);
   generator.start();
   engine_.run_until(sim::from_seconds(120.0));
   const double x = generator.stats().mean_throughput(sim::from_seconds(20.0),
@@ -29,7 +30,7 @@ TEST_F(OpenLoopTest, ThroughputMatchesArrivalRateWhenUnsaturated) {
 }
 
 TEST_F(OpenLoopTest, RateChangeTakesEffect) {
-  OpenLoopGenerator generator(engine_, app_, catalog_factory(catalog_), 10.0);
+  OpenLoopGenerator generator(engine_, app_, graph_request_factory(catalog_, *app_.graph()), 10.0);
   generator.start();
   engine_.run_until(sim::from_seconds(60.0));
   generator.set_arrival_rate(40.0);
@@ -42,7 +43,7 @@ TEST_F(OpenLoopTest, RateChangeTakesEffect) {
 TEST_F(OpenLoopTest, OverloadGrowsBacklog) {
   // Offered 120 req/s vs ~69 req/s capacity at default pools: outstanding
   // requests pile up instead of self-throttling.
-  OpenLoopGenerator generator(engine_, app_, catalog_factory(catalog_), 120.0);
+  OpenLoopGenerator generator(engine_, app_, graph_request_factory(catalog_, *app_.graph()), 120.0);
   generator.start();
   engine_.run_until(sim::from_seconds(60.0));
   const int backlog_1m = generator.outstanding();
@@ -51,7 +52,7 @@ TEST_F(OpenLoopTest, OverloadGrowsBacklog) {
 }
 
 TEST_F(OpenLoopTest, StopHaltsArrivals) {
-  OpenLoopGenerator generator(engine_, app_, catalog_factory(catalog_), 50.0);
+  OpenLoopGenerator generator(engine_, app_, graph_request_factory(catalog_, *app_.graph()), 50.0);
   generator.start();
   engine_.run_until(sim::from_seconds(10.0));
   generator.stop();
@@ -64,7 +65,7 @@ TEST_F(OpenLoopTest, StopHaltsArrivals) {
 }
 
 TEST_F(OpenLoopTest, ZeroRateIsIdle) {
-  OpenLoopGenerator generator(engine_, app_, catalog_factory(catalog_), 0.0);
+  OpenLoopGenerator generator(engine_, app_, graph_request_factory(catalog_, *app_.graph()), 0.0);
   generator.start();
   engine_.run_until(sim::from_seconds(10.0));
   EXPECT_EQ(generator.stats().completed(), 0u);
@@ -73,7 +74,7 @@ TEST_F(OpenLoopTest, ZeroRateIsIdle) {
 TEST_F(OpenLoopTest, PoissonGapsHaveExponentialSpread) {
   // Indirect check: count arrivals in 1 s buckets; variance ≈ mean for a
   // Poisson process.
-  OpenLoopGenerator generator(engine_, app_, catalog_factory(catalog_), 20.0);
+  OpenLoopGenerator generator(engine_, app_, graph_request_factory(catalog_, *app_.graph()), 20.0);
   generator.start();
   engine_.run_until(sim::from_seconds(300.0));
   const auto& buckets = generator.stats().throughput_series().buckets();

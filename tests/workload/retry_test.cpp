@@ -10,7 +10,8 @@ namespace {
 
 TEST(ClientRetryTest, DeadlineExpirationsAreTimeoutsThenFinalError) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
   const ServletCatalog catalog = ServletCatalog::browse_only_mix();
   auto generator = make_jmeter(engine, app, catalog, 1);
 
@@ -36,7 +37,8 @@ TEST(ClientRetryTest, DeadlineExpirationsAreTimeoutsThenFinalError) {
 
 TEST(ClientRetryTest, RetryRecoversFromSilentlyCrashedBackend) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 2, 1}, {1000, 100, 80}), 1);
   // tomcat-vm0 crashes silently: the balancer keeps routing to it and every
   // visit that lands there fails fast. Without retries those surface as
   // client errors; with one retry the re-issue lands on the survivor.
@@ -60,7 +62,8 @@ TEST(ClientRetryTest, RetryRecoversFromSilentlyCrashedBackend) {
 
 TEST(ClientRetryTest, DisabledPolicyKeepsLegacyAccounting) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 1, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
   const ServletCatalog catalog = ServletCatalog::browse_only_mix();
   auto generator = make_jmeter(engine, app, catalog, 4);
   ASSERT_FALSE(generator->retry_policy().enabled());
@@ -101,7 +104,8 @@ TEST(ClientStatsAccountingTest, GoodputCountsOnlyBoundBeatingCompletions) {
 // would (wrongly) count these.
 TEST(ClientStatsAccountingTest, RetriedCompletionIsOneRequestMeasuredEndToEnd) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_app_config({1, 2, 1}, {1000, 100, 80}));
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 2, 1}, {1000, 100, 80}), 1);
   ASSERT_TRUE(app.tier(1).inject_crash("tomcat-vm0"));
 
   const ServletCatalog catalog = ServletCatalog::browse_only_mix();

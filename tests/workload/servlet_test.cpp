@@ -4,6 +4,9 @@
 
 #include <map>
 
+#include "core/topologies.h"
+#include "workload/closed_loop.h"
+
 namespace dcm::workload {
 namespace {
 
@@ -59,16 +62,21 @@ TEST(ServletCatalogTest, SamplingFollowsWeights) {
   EXPECT_NEAR(static_cast<double>(hits[view_story]) / n, 0.25, 0.01);
 }
 
-TEST(ServletCatalogTest, MakeRequestBuildsThreeTierPlan) {
+TEST(ServletCatalogTest, GraphFactoryBuildsThreeTierPlan) {
   const ServletCatalog catalog = ServletCatalog::browse_only_mix();
-  const auto req = catalog.make_request(42, 0, sim::from_seconds(1.0));
+  const ntier::ServiceGraph chain =
+      core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80});
+  Rng rng(3);
+  const auto req = graph_request_factory(catalog, chain)(nullptr, 42, rng, sim::from_seconds(1.0));
+  const Servlet& s = catalog.servlet(static_cast<size_t>(req->servlet));
   EXPECT_EQ(req->id, 42u);
-  EXPECT_EQ(req->servlet, 0);
   ASSERT_EQ(req->demand_scale.size(), 3u);
-  ASSERT_EQ(req->downstream_calls.size(), 3u);
+  EXPECT_DOUBLE_EQ(req->demand_scale[0], s.web_scale);
+  EXPECT_DOUBLE_EQ(req->demand_scale[1], s.app_scale);
+  EXPECT_DOUBLE_EQ(req->demand_scale[2], s.db_scale);
+  ASSERT_EQ(req->downstream_calls.size(), 2u);
   EXPECT_EQ(req->downstream_calls[0], 1);  // web → app
-  EXPECT_EQ(req->downstream_calls[1], catalog.servlet(0).db_queries);
-  EXPECT_EQ(req->downstream_calls[2], 0);  // leaf
+  EXPECT_EQ(req->downstream_calls[1], s.db_queries);
 }
 
 TEST(ServletCatalogTest, CustomCatalogValidation) {
