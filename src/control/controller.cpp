@@ -17,8 +17,7 @@ ControllerBase::ControllerBase(sim::Engine& engine, ntier::NTierApp& app, bus::B
       vm_agent_(engine, app, log_),
       app_agent_(engine, app, log_),
       low_util_streak_(app.tier_count(), 0),
-      previous_util_(app.tier_count(), 0.0),
-      has_previous_util_(app.tier_count(), false),
+      util_forecast_(app.tier_count(), HoltForecaster(1.0, 1.0, 1)),
       last_capacity_(app.tier_count(), -1),
       scale_out_gate_(app.tier_count(),
                       HysteresisGate(policy.hysteresis, TriggerDirection::kAbove)),
@@ -115,20 +114,17 @@ bool ControllerBase::apply_hardware_rule(size_t tier_index, const TierObservatio
     // A silent period breaks the sample chain. A trend computed across the
     // gap would read a multi-period-old utilisation as "last period's", so
     // drop the prior and behave reactively on the first post-gap period.
-    has_previous_util_[tier_index] = false;
+    util_forecast_[tier_index].reset();
     return false;
   }
 
-  // Predictive extension: judge scale-out on the utilisation projected one
-  // period ahead from the two most recent observations. The prior is seeded
-  // with the first observation, so period 0 is purely reactive.
+  // Predictive extension: judge scale-out (only) on the utilisation projected
+  // one period ahead, u_t + (u_t − u_{t−1}) — Holt with α = β = 1, horizon 1.
+  // The first observation seeds it, so period 0 is purely reactive.
   double out_signal = obs.mean_util;
-  if (policy_.predictive && has_previous_util_[tier_index]) {
-    const double projected = obs.mean_util + (obs.mean_util - previous_util_[tier_index]);
-    out_signal = std::max(out_signal, projected);
+  if (policy_.predictive) {
+    out_signal = std::max(out_signal, util_forecast_[tier_index].update(obs.mean_util));
   }
-  previous_util_[tier_index] = obs.mean_util;
-  has_previous_util_[tier_index] = true;
 
   // SLA extension: response-time violation also triggers a scale-out.
   const bool rt_violation = policy_.scale_out_response_time > 0.0 &&

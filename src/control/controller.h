@@ -14,6 +14,7 @@
 #include "bus/broker.h"
 #include "bus/consumer.h"
 #include "control/actuators.h"
+#include "control/holt_forecaster.h"
 #include "control/hysteresis.h"
 #include "control/scaling_policy.h"
 #include "metrics/timeseries.h"
@@ -115,8 +116,7 @@ class ControllerBase {
   sim::EventHandle timer_;
   std::vector<ntier::MetricSample> period_samples_;
   std::vector<int> low_util_streak_;     // per tier, for slow scale-in
-  std::vector<double> previous_util_;    // per tier, for predictive trend
-  std::vector<bool> has_previous_util_;  // per tier
+  std::vector<HoltForecaster> util_forecast_;  // per tier, for policy_.predictive
   std::vector<int> last_capacity_;       // per tier, provisioned VMs (-1 = unseen)
   std::vector<HysteresisGate> scale_out_gate_;  // per tier
   std::vector<HysteresisGate> scale_in_gate_;   // per tier

@@ -9,14 +9,12 @@ namespace dcm::control {
 PredictiveController::PredictiveController(sim::Engine& engine, ntier::NTierApp& app,
                                            bus::Broker& broker, PredictiveConfig config)
     : ControllerBase(engine, app, broker, config.policy, "predictive"),
-      config_(config),
-      level_(app.tier_count(), 0.0),
-      trend_(app.tier_count(), 0.0),
-      forecast_(app.tier_count(), 0.0),
-      initialized_(app.tier_count(), false) {
-  DCM_CHECK(config_.level_alpha > 0.0 && config_.level_alpha <= 1.0);
-  DCM_CHECK(config_.trend_beta >= 0.0 && config_.trend_beta <= 1.0);
-  DCM_CHECK(config_.horizon_periods >= 1);
+      holt_(app.tier_count(),
+            HoltForecaster(config.level_alpha, config.trend_beta, config.horizon_periods)),
+      forecast_(app.tier_count(), 0.0) {
+  DCM_CHECK(config.level_alpha > 0.0 && config.level_alpha <= 1.0);
+  DCM_CHECK(config.trend_beta >= 0.0 && config.trend_beta <= 1.0);
+  DCM_CHECK(config.horizon_periods >= 1);
 }
 
 void PredictiveController::decide(const std::vector<TierObservation>& observations) {
@@ -25,22 +23,10 @@ void PredictiveController::decide(const std::vector<TierObservation>& observatio
     if (obs.samples == 0) {
       // Telemetry gap: a forecast from a stale level would treat it as one
       // period old. Re-seed from the next real observation.
-      initialized_[i] = false;
+      holt_[i].reset();
       continue;
     }
-    if (!initialized_[i]) {
-      level_[i] = obs.mean_util;
-      trend_[i] = 0.0;
-      initialized_[i] = true;
-      forecast_[i] = obs.mean_util;  // period 0 is purely reactive
-    } else {
-      const double previous_level = level_[i];
-      level_[i] = config_.level_alpha * obs.mean_util +
-                  (1.0 - config_.level_alpha) * (previous_level + trend_[i]);
-      trend_[i] = config_.trend_beta * (level_[i] - previous_level) +
-                  (1.0 - config_.trend_beta) * trend_[i];
-      forecast_[i] = level_[i] + static_cast<double>(config_.horizon_periods) * trend_[i];
-    }
+    forecast_[i] = holt_[i].update(obs.mean_util);
     // A live breach always counts; the forecast only moves the scale-out
     // trigger earlier. The same max() on the scale-in side means a transient
     // dip starts the streak only when the forecast is also below the lower

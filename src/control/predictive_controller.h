@@ -1,27 +1,18 @@
-// Predictive auto-scaler: Holt double-exponential smoothing on the per-tier
-// utilisation signal (the trend-only special case of Holt-Winters — the
-// simulated traces carry no seasonality at control-period resolution).
-//
-// Each control period updates a per-tier (level, trend) pair:
-//
-//   level_t = α·u_t + (1−α)·(level_{t−1} + trend_{t−1})
-//   trend_t = β·(level_t − level_{t−1}) + (1−β)·trend_{t−1}
-//   forecast = level_t + horizon · trend_t
-//
-// and feeds max(u_t, forecast) into the shared threshold rule, so a rising
-// ramp triggers the scale-out `horizon` periods before the raw utilisation
-// crosses the threshold — buying back the VM boot delay — while a live
-// breach is never ignored even if the smoothed forecast lags. Scale-in uses
+// Predictive auto-scaler: a per-tier HoltForecaster (control/holt_forecaster.h)
+// on the utilisation signal. Each control period feeds max(u_t, forecast)
+// into the shared threshold rule, so a rising ramp triggers the scale-out
+// `horizon` periods before the raw utilisation crosses the threshold —
+// buying back the VM boot delay — while a live breach is never ignored even
+// if the smoothed forecast lags. Scale-in uses
 // the same smoothed signal: a transient dip below the lower threshold does
 // not start the scale-in streak unless the forecast agrees.
 //
-// The state is seeded from the first observation (level = u_0, trend = 0),
-// so the first period is purely reactive, and a telemetry gap discards the
-// state: a forecast extrapolated across silence would treat a stale level
-// as one period old.
+// The forecaster seeds from the first observation, so the first period is
+// purely reactive, and a telemetry gap discards its state.
 #pragma once
 
 #include "control/controller.h"
+#include "control/holt_forecaster.h"
 
 namespace dcm::control {
 
@@ -48,11 +39,8 @@ class PredictiveController final : public ControllerBase {
   void decide(const std::vector<TierObservation>& observations) override;
 
  private:
-  PredictiveConfig config_;
-  std::vector<double> level_;
-  std::vector<double> trend_;
+  std::vector<HoltForecaster> holt_;  // per tier
   std::vector<double> forecast_;
-  std::vector<bool> initialized_;
 };
 
 }  // namespace dcm::control

@@ -26,9 +26,10 @@ struct ScalingPolicy {
   /// SLA-driven trigger: also scale a tier out when its completion-weighted
   /// mean response time over the period exceeds this (seconds; 0 = off).
   double scale_out_response_time = 0.0;
-  /// Predictive trigger: linearly extrapolate the tier's utilisation one
-  /// control period ahead (u_t + (u_t − u_{t−1})) and scale out when the
-  /// *projection* crosses the threshold — buying back the VM preparation
+  /// Predictive trigger: forecast the tier's utilisation one control period
+  /// ahead with a HoltForecaster at α = β = 1, horizon 1 — the linear
+  /// extrapolation u_t + (u_t − u_{t−1}) — and scale out when the
+  /// *projection* crosses the threshold, buying back the VM preparation
   /// delay the paper's Sec. VI discusses. Scale-in stays reactive.
   bool predictive = false;
   /// Schmitt-trigger band half-width applied to both utilisation thresholds

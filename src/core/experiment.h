@@ -79,6 +79,8 @@ struct ResilienceSpec {
   bool replace_failed = true;
   int watchdog_periods = 2;
   double min_fit_r2 = 0.0;  // 0 = R² gate off
+
+  bool operator==(const ResilienceSpec&) const = default;
 };
 
 struct ExperimentConfig {

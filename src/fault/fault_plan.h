@@ -39,6 +39,8 @@ struct FaultSpec {
     return crash_mttf_seconds > 0.0 || slowdown_mttf_seconds > 0.0 ||
            telemetry_loss_mttf_seconds > 0.0 || agent_silence_mttf_seconds > 0.0;
   }
+
+  bool operator==(const FaultSpec&) const = default;
 };
 
 /// One scheduled injection. `duration` and `severity` are meaningful only

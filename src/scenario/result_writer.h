@@ -1,6 +1,6 @@
 // One writer for every experiment result — the `dcm-result-v1` JSON/CSV
 // schema plus the console summary/timeline/comparison printers that used to
-// be copy-pasted across fig5, dcm_runner and bursty_autoscaling.
+// be copy-pasted across fig5, dcm_run and bursty_autoscaling.
 //
 // Also home of the result digest: FNV-1a over the raw bit patterns of the
 // completed-request trace (per-second response-time/throughput buckets,
@@ -70,7 +70,7 @@ void write_timeline_csv(std::ostream& out, const core::ExperimentResult& result,
 /// value). No-op when the result carries no trace report.
 void write_spans_csv(std::ostream& out, const core::ExperimentResult& result);
 
-/// dcm_runner-style console summary of one run (plus its action log).
+/// dcm_run-style console summary of one run (plus its action log).
 void print_summary(const core::ExperimentResult& result);
 
 /// Console waterfall of a traced run: sampling counters plus the per-tier,

@@ -1,15 +1,25 @@
 #include "scenario/scenario.h"
 
 #include <charconv>
-#include <map>
-#include <set>
+#include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
-#include <vector>
+#include <type_traits>
 
 #include "common/strings.h"
+#include "workload/trace_taxonomy.h"
 
 namespace dcm::scenario {
 namespace {
+
+using WorkloadKind = WorkloadDecl::Kind;
+using ControllerKind = ControllerDecl::Kind;
+using TopologyKind = core::TopologySpec::Kind;
+
+[[noreturn]] void fail(const std::string& message) {
+  throw std::runtime_error("scenario: " + message);
+}
 
 // Shortest text form that parses back to the exact same double — the
 // canonical number format for scenario emission ("15", "0.8", "2.84e-02").
@@ -19,314 +29,461 @@ std::string format_double(double value) {
   return std::string(buf, result.ptr);
 }
 
-std::string format_int(int64_t value) { return std::to_string(value); }
+// ---------------------------------------------------------------------------
+// The declared kinds, and the applies-when predicate over them.
 
-[[noreturn]] void fail(const std::string& message) {
-  throw std::runtime_error("scenario: " + message);
+struct Kinds {
+  WorkloadKind workload;
+  ControllerKind controller;
+  TopologyKind topology;
+  bool resilience;
+  bool trace;
+};
+
+Kinds kinds_of(const Scenario& s) {
+  return {s.workload.kind, s.controller.kind, s.topology.kind, s.resilience.enabled,
+          s.trace.enabled};
 }
 
-// Validates an "s0,alpha,beta" model-override triple and returns its
-// canonical spelling, so stored scenarios are normalization fixed points.
-std::string normalize_model_triple(const std::string& key, const std::string& value) {
-  std::vector<double> parts;
-  for (const auto& field : split(value, ',')) {
-    const auto parsed = parse_double(std::string(trim(field)));
-    if (!parsed) fail("[controller] " + key + " must be 's0,alpha,beta', got: " + value);
-    parts.push_back(*parsed);
+template <class... Kind>
+constexpr unsigned bits(Kind... kinds) {
+  return ((1u << static_cast<unsigned>(kinds)) | ...);
+}
+
+/// The kinds a key is part of the vocabulary under: one bit set per kind
+/// enum, plus the two section gates.
+struct When {
+  unsigned workloads = ~0u;
+  unsigned controllers = ~0u;
+  unsigned topologies = ~0u;
+  bool resilience = false;  // only under [resilience] enabled = true
+  bool trace = false;       // only under [trace] enabled = true
+
+  bool operator()(const Kinds& k) const {
+    return (workloads & bits(k.workload)) != 0 && (controllers & bits(k.controller)) != 0 &&
+           (topologies & bits(k.topology)) != 0 && (k.resilience || !resilience) &&
+           (k.trace || !trace);
   }
-  if (parts.size() != 3) {
-    fail("[controller] " + key + " must be 's0,alpha,beta', got: " + value);
+};
+
+constexpr unsigned kControlled = ~bits(ControllerKind::kNone);
+constexpr unsigned kThresholdRule = bits(ControllerKind::kEc2, ControllerKind::kDcm);
+constexpr unsigned kDcm = bits(ControllerKind::kDcm);
+
+/// Inclusive bounds unless `open_*` makes one strict. NaN passes.
+struct Range {
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
+  bool open_min = false;
+  bool open_max = false;
+};
+
+constexpr Range at_least(double min) { return {.min = min}; }
+constexpr Range above(double min) { return {.min = min, .open_min = true}; }
+constexpr Range unit_interval() { return {.min = 0.0, .max = 1.0}; }
+
+std::string describe(const Range& r) {
+  if (std::isinf(r.max)) return (r.open_min ? "> " : ">= ") + format_double(r.min);
+  return std::string("in ") + (r.open_min ? "(" : "[") + format_double(r.min) + ", " +
+         format_double(r.max) + (r.open_max ? ")" : "]");
+}
+
+// ---------------------------------------------------------------------------
+// Key rows.
+
+struct Key;
+
+/// Type-erased access to the Scenario field a key binds.
+struct Binding {
+  void (*decode)(Scenario&, const Config&, const Key&);  // throws on bad input
+  std::string (*encode)(const Scenario&);                 // canonical spelling
+  void (*copy)(Scenario& to, const Scenario& from);
+};
+
+struct Key {
+  const char* section;
+  const char* key;
+  When when;
+  Binding field;
+  Range range = {};
+  bool omit_default = false;  // emitted only when it differs from the default
+
+  std::string path() const { return "[" + std::string(section) + "] " + key; }
+};
+
+constexpr bool kOmitDefault = true;
+
+void check_range(const Key& k, double value) {
+  const Range& r = k.range;
+  const bool below = r.open_min ? value <= r.min : value < r.min;
+  const bool above_max = r.open_max ? value >= r.max : value > r.max;
+  if (below || above_max) {
+    fail(k.path() + " must be " + describe(r) + ", got " + format_double(value));
   }
-  return format_double(parts[0]) + "," + format_double(parts[1]) + "," +
-         format_double(parts[2]);
 }
 
-WorkloadDecl::Kind parse_workload_kind(const std::string& kind) {
-  if (kind == "jmeter") return WorkloadDecl::Kind::kJmeter;
-  if (kind == "rubbos") return WorkloadDecl::Kind::kRubbos;
-  if (kind == "trace") return WorkloadDecl::Kind::kTrace;
-  fail("unknown workload kind '" + kind + "' (expected jmeter|rubbos|trace)");
+// Per-type codecs. decode() is only called for keys present in the config,
+// so the getters' fallback (the field's current value) is never used.
+void decode(const Config& c, const Key& k, double& out) {
+  out = c.get_double(k.section, k.key, out);
+  check_range(k, out);
+}
+void decode(const Config& c, const Key& k, int& out) {
+  out = static_cast<int>(c.get_int(k.section, k.key, out));
+  check_range(k, out);
+}
+void decode(const Config& c, const Key& k, uint64_t& out) {
+  out = static_cast<uint64_t>(c.get_int(k.section, k.key, static_cast<int64_t>(out)));
+}
+void decode(const Config& c, const Key& k, bool& out) { out = c.get_bool(k.section, k.key, out); }
+void decode(const Config& c, const Key& k, std::string& out) {
+  out = c.get_string(k.section, k.key, out);
 }
 
-ControllerDecl::Kind parse_controller_kind(const std::string& kind) {
-  if (kind == "none") return ControllerDecl::Kind::kNone;
-  if (kind == "ec2") return ControllerDecl::Kind::kEc2;
-  if (kind == "dcm") return ControllerDecl::Kind::kDcm;
-  if (kind == "predictive") return ControllerDecl::Kind::kPredictive;
-  if (kind == "queueing") return ControllerDecl::Kind::kQueueing;
-  if (kind == "pi") return ControllerDecl::Kind::kPi;
-  fail("unknown controller kind '" + kind +
-       "' (expected none|ec2|dcm|predictive|queueing|pi)");
+std::string encode(double value) { return format_double(value); }
+std::string encode(int value) { return std::to_string(value); }
+// Seeds emit as signed so derived 64-bit seeds round-trip through get_int.
+std::string encode(uint64_t value) { return std::to_string(static_cast<int64_t>(value)); }
+std::string encode(bool value) { return value ? "true" : "false"; }
+std::string encode(const std::string& value) { return value; }
+
+// Kind enums: the spelling list is indexed by the enumerator.
+constexpr const char* kWorkloadKinds[] = {"jmeter", "rubbos", "trace"};
+constexpr const char* kControllerKinds[] = {"none", "ec2", "dcm", "predictive", "queueing", "pi"};
+constexpr const char* kTopologyKinds[] = {"chain3", "chain4", "graph"};
+
+std::span<const char* const> spellings(WorkloadKind) { return kWorkloadKinds; }
+std::span<const char* const> spellings(ControllerKind) { return kControllerKinds; }
+std::span<const char* const> spellings(TopologyKind) { return kTopologyKinds; }
+
+template <class E>
+  requires std::is_enum_v<E>
+std::string encode(E kind) {
+  return spellings(kind)[static_cast<size_t>(kind)];
 }
 
-const char* workload_kind_name(WorkloadDecl::Kind kind) {
-  switch (kind) {
-    case WorkloadDecl::Kind::kJmeter:
-      return "jmeter";
-    case WorkloadDecl::Kind::kRubbos:
-      return "rubbos";
-    case WorkloadDecl::Kind::kTrace:
-      return "trace";
+template <class E>
+  requires std::is_enum_v<E>
+void decode(const Config& c, const Key& k, E& out) {
+  const std::string name = c.get_string(k.section, k.key, encode(out));
+  std::string expected;
+  for (size_t i = 0; i < spellings(out).size(); ++i) {
+    if (name == spellings(out)[i]) {
+      out = static_cast<E>(i);
+      return;
+    }
+    expected += (i == 0 ? "" : "|") + std::string(spellings(out)[i]);
   }
-  fail("corrupt workload kind");
+  fail("unknown " + std::string(k.section) + " kind '" + name + "' (expected " + expected + ")");
 }
 
-const char* controller_kind_name(ControllerDecl::Kind kind) {
-  switch (kind) {
-    case ControllerDecl::Kind::kNone:
-      return "none";
-    case ControllerDecl::Kind::kEc2:
-      return "ec2";
-    case ControllerDecl::Kind::kDcm:
-      return "dcm";
-    case ControllerDecl::Kind::kPredictive:
-      return "predictive";
-    case ControllerDecl::Kind::kQueueing:
-      return "queueing";
-    case ControllerDecl::Kind::kPi:
-      return "pi";
+// Topology lists: "name:role, ..." and "from->to:calls[:managed], ..." with
+// calls a non-negative integer or `q` (the sampled servlet's query count).
+[[noreturn]] void topology_error(const std::string& message) { fail("[topology] " + message); }
+
+void decode_item(const std::string& field, core::TopologySpec::Node& node) {
+  const std::vector<std::string> parts = split(field, ':');
+  if (parts.size() == 2) {
+    node.name = std::string(trim(parts[0]));
+    node.role = std::string(trim(parts[1]));
   }
-  fail("corrupt controller kind");
+  if (node.name.empty() || node.role.empty()) {
+    topology_error("node '" + field + "' must be 'name:role'");
+  }
 }
 
-// The full vocabulary a scenario may use, conditioned on the declared
-// kinds — anything outside this set is a spelling mistake, not a default.
-std::map<std::string, std::set<std::string>> allowed_keys(WorkloadDecl::Kind workload,
-                                                          ControllerDecl::Kind controller,
-                                                          core::TopologySpec::Kind topology,
-                                                          bool resilience_enabled,
-                                                          bool trace_enabled) {
-  std::map<std::string, std::set<std::string>> allowed;
-  allowed["scenario"] = {"name", "summary"};
-  allowed["hardware"] = {"web", "app", "db"};
-  allowed["soft"] = {"web_threads", "app_threads", "db_connections"};
-  allowed["run"] = {"duration", "warmup", "max_vms", "seed"};
-
-  std::set<std::string>& topology_keys = allowed["topology"];
-  topology_keys.insert("kind");
-  if (topology == core::TopologySpec::Kind::kGraph) {
-    topology_keys.insert({"nodes", "edges"});
+void decode_item(const std::string& field, core::TopologySpec::Edge& edge) {
+  const std::vector<std::string> parts = split(field, ':');
+  if (parts.empty() || parts.size() > 3) {
+    topology_error("edge '" + field + "' must be 'from->to:calls[:managed]'");
   }
-  allowed["faults"] = {"crash_mttf",          "slowdown_mttf",
-                       "slowdown_factor",     "slowdown_duration",
-                       "telemetry_loss_mttf", "telemetry_loss_duration",
-                       "agent_silence_mttf",  "agent_silence_duration"};
-
-  std::set<std::string>& resilience_keys = allowed["resilience"];
-  resilience_keys.insert("enabled");
-  if (resilience_enabled) {
-    resilience_keys.insert({"client_timeout", "client_retries", "client_backoff",
-                            "subrequest_timeout", "subrequest_retries", "health_period",
-                            "health_failure_threshold", "replace_failed"});
-    if (controller == ControllerDecl::Kind::kDcm) {
-      resilience_keys.insert({"watchdog_periods", "min_fit_r2"});
+  const size_t arrow = parts[0].find("->");
+  if (arrow == std::string::npos) topology_error("edge '" + field + "' is missing '->'");
+  edge.from = std::string(trim(std::string_view(parts[0]).substr(0, arrow)));
+  edge.to = std::string(trim(std::string_view(parts[0]).substr(arrow + 2)));
+  if (edge.from.empty() || edge.to.empty()) {
+    topology_error("edge '" + field + "' must name both endpoints");
+  }
+  if (parts.size() >= 2) {
+    const std::string calls(trim(parts[1]));
+    const auto parsed = parse_int(calls);
+    if (calls == "q") {
+      edge.servlet_calls = true;
+    } else if (parsed && *parsed >= 0) {
+      edge.calls = static_cast<int>(*parsed);
+    } else {
+      topology_error("edge '" + field + "' calls must be a non-negative integer or 'q'");
     }
   }
-
-  std::set<std::string>& trace_keys = allowed["trace"];
-  trace_keys.insert("enabled");
-  if (trace_enabled) trace_keys.insert("rate");
-
-  std::set<std::string>& workload_keys = allowed["workload"];
-  workload_keys.insert("kind");
-  switch (workload) {
-    case WorkloadDecl::Kind::kJmeter:
-      workload_keys.insert("users");
-      break;
-    case WorkloadDecl::Kind::kRubbos:
-      workload_keys.insert("users");
-      workload_keys.insert("think_seconds");
-      break;
-    case WorkloadDecl::Kind::kTrace:
-      workload_keys.insert("think_seconds");
-      workload_keys.insert("trace");
-      workload_keys.insert("peak_users");
-      break;
+  if (parts.size() == 3) {
+    if (trim(parts[2]) != "managed") {
+      topology_error("edge '" + field + "' trailing field must be 'managed'");
+    }
+    edge.managed = true;
   }
-
-  std::set<std::string>& controller_keys = allowed["controller"];
-  controller_keys.insert("kind");
-  if (controller != ControllerDecl::Kind::kNone) {
-    controller_keys.insert({"control_period", "scale_out_util", "scale_in_util",
-                            "scale_in_consecutive", "hysteresis"});
-  }
-  // The bool predictive trigger and the SLA trigger are ec2/dcm hardware-rule
-  // extensions; the zoo kinds have their own trigger shapes.
-  if (controller == ControllerDecl::Kind::kEc2 || controller == ControllerDecl::Kind::kDcm) {
-    controller_keys.insert({"predictive", "sla_rt"});
-  }
-  if (controller == ControllerDecl::Kind::kDcm) {
-    controller_keys.insert({"headroom", "online_estimation", "app_model", "db_model"});
-  }
-  if (controller == ControllerDecl::Kind::kPredictive) {
-    controller_keys.insert({"alpha", "beta", "horizon"});
-  }
-  if (controller == ControllerDecl::Kind::kQueueing ||
-      controller == ControllerDecl::Kind::kPi) {
-    controller_keys.insert("target_util");
-  }
-  if (controller == ControllerDecl::Kind::kPi) {
-    controller_keys.insert({"kp", "ki", "deadband"});
-  }
-  return allowed;
 }
 
-void reject_unknown_keys(const Config& config, WorkloadDecl::Kind workload,
-                         ControllerDecl::Kind controller, core::TopologySpec::Kind topology,
-                         bool resilience_enabled, bool trace_enabled) {
-  const auto allowed =
-      allowed_keys(workload, controller, topology, resilience_enabled, trace_enabled);
-  for (const auto& [section, keys] : config.sections()) {
-    const auto entry = allowed.find(section);
-    if (entry == allowed.end()) {
-      fail("unknown section [" + section + "]");
-    }
-    for (const auto& [key, value] : keys) {
-      if (entry->second.count(key) == 0) {
-        fail("unknown key '" + key + "' in [" + section + "] (workload kind " +
-             workload_kind_name(workload) + ", controller kind " +
-             controller_kind_name(controller) + ")");
-      }
+std::string encode(const core::TopologySpec::Node& node) { return node.name + ":" + node.role; }
+std::string encode(const core::TopologySpec::Edge& edge) {
+  return edge.from + "->" + edge.to + ":" +
+         (edge.servlet_calls ? std::string("q") : std::to_string(edge.calls)) +
+         (edge.managed ? ":managed" : "");
+}
+
+template <class T>
+std::string encode(const std::vector<T>& items) {
+  std::string out;
+  for (const T& item : items) out += (out.empty() ? "" : ", ") + encode(item);
+  return out;
+}
+
+template <class T>
+void decode(const Config& c, const Key& k, std::vector<T>& out) {
+  const std::string text = c.get_string(k.section, k.key, encode(out));
+  out.clear();
+  if (trim(text).empty()) return;
+  for (const std::string& field : split(text, ',')) {
+    if (trim(field).empty()) topology_error("empty entry in " + std::string(k.key) + " list");
+    decode_item(std::string(trim(field)), out.emplace_back());
+  }
+}
+
+// "s0,alpha,beta" DCM model overrides; must satisfy ServiceTimeParams::valid().
+model::ServiceTimeParams parse_model(const std::string& path, const std::string& text) {
+  const std::vector<std::string> fields = split(text, ',');
+  model::ServiceTimeParams params;  // s0 = 0: invalid until all three parse
+  if (fields.size() == 3) {
+    const auto s0 = parse_double(trim(fields[0]));
+    const auto alpha = parse_double(trim(fields[1]));
+    const auto beta = parse_double(trim(fields[2]));
+    if (s0 && alpha && beta) params = {*s0, *alpha, *beta};
+  }
+  if (!params.valid()) {
+    fail(path + " must be 's0,alpha,beta' with s0 > 0 and alpha, beta >= 0, got: " + text);
+  }
+  return params;
+}
+
+model::ConcurrencyModel model_or(model::ConcurrencyModel reference, const std::string& path,
+                                 const std::string& triple) {
+  if (!triple.empty()) reference.params = parse_model(path, triple);
+  return reference;
+}
+
+// ---------------------------------------------------------------------------
+// Field bindings: `bind<&Scenario::a, &A::b>()` binds scenario.a.b.
+
+template <auto... Members>
+auto& at(auto& scenario) {
+  return (scenario .* ... .* Members);
+}
+
+template <auto... Members>
+constexpr Binding bind() {
+  return {[](Scenario& s, const Config& c, const Key& k) { decode(c, k, at<Members...>(s)); },
+          [](const Scenario& s) { return encode(at<Members...>(s)); },
+          [](Scenario& to, const Scenario& from) { at<Members...>(to) = at<Members...>(from); }};
+}
+
+// A model triple is stored in its canonical spelling, so stored scenarios
+// are normalization fixed points.
+template <auto Member>
+constexpr Binding bind_model() {
+  Binding binding = bind<&Scenario::controller, Member>();
+  binding.decode = [](Scenario& s, const Config& c, const Key& k) {
+    std::string& out = at<&Scenario::controller, Member>(s);
+    const model::ServiceTimeParams p = parse_model(k.path(), c.get_string(k.section, k.key, out));
+    out = format_double(p.s0) + "," + format_double(p.alpha) + "," + format_double(p.beta);
+  };
+  return binding;
+}
+
+using S = Scenario;
+using C = ControllerDecl;
+using F = fault::FaultSpec;
+using R = core::ResilienceSpec;
+
+// The whole vocabulary. The first kGateKeys rows select the kinds every
+// applies-when predicate reads; emission order is irrelevant (Config sorts).
+constexpr size_t kGateKeys = 5;
+constexpr Key kKeys[] = {
+    {"workload", "kind", {}, bind<&S::workload, &WorkloadDecl::kind>()},
+    {"controller", "kind", {}, bind<&S::controller, &C::kind>()},
+    {"topology", "kind", {}, bind<&S::topology, &core::TopologySpec::kind>(), {}, kOmitDefault},
+    {"resilience", "enabled", {}, bind<&S::resilience, &R::enabled>()},
+    {"trace", "enabled", {}, bind<&S::trace, &trace::TraceSpec::enabled>(), {}, kOmitDefault},
+
+    {"scenario", "name", {}, bind<&S::name>()},
+    {"scenario", "summary", {}, bind<&S::summary>(), {}, kOmitDefault},
+    {"hardware", "web", {}, bind<&S::hardware, &core::HardwareConfig::web>(), at_least(1)},
+    {"hardware", "app", {}, bind<&S::hardware, &core::HardwareConfig::app>(), at_least(1)},
+    {"hardware", "db", {}, bind<&S::hardware, &core::HardwareConfig::db>(), at_least(1)},
+    {"soft", "web_threads", {}, bind<&S::soft, &core::SoftAllocation::web_threads>(), at_least(1)},
+    {"soft", "app_threads", {}, bind<&S::soft, &core::SoftAllocation::app_threads>(), at_least(1)},
+    {"soft", "db_connections", {}, bind<&S::soft, &core::SoftAllocation::db_connections>(),
+     at_least(1)},
+    {"topology", "nodes", {.topologies = bits(TopologyKind::kGraph)},
+     bind<&S::topology, &core::TopologySpec::nodes>()},
+    {"topology", "edges", {.topologies = bits(TopologyKind::kGraph)},
+     bind<&S::topology, &core::TopologySpec::edges>()},
+
+    {"workload", "users", {.workloads = bits(WorkloadKind::kJmeter, WorkloadKind::kRubbos)},
+     bind<&S::workload, &WorkloadDecl::users>(), at_least(0)},
+    {"workload", "think_seconds", {.workloads = bits(WorkloadKind::kRubbos, WorkloadKind::kTrace)},
+     bind<&S::workload, &WorkloadDecl::think_seconds>(), above(0)},
+    {"workload", "trace", {.workloads = bits(WorkloadKind::kTrace)},
+     bind<&S::workload, &WorkloadDecl::trace>()},
+    {"workload", "peak_users", {.workloads = bits(WorkloadKind::kTrace)},
+     bind<&S::workload, &WorkloadDecl::peak_users>()},
+
+    {"controller", "control_period", {.controllers = kControlled},
+     bind<&S::controller, &C::control_period_seconds>(), above(0)},
+    {"controller", "scale_out_util", {.controllers = kControlled},
+     bind<&S::controller, &C::scale_out_util>()},
+    {"controller", "scale_in_util", {.controllers = kControlled},
+     bind<&S::controller, &C::scale_in_util>()},
+    {"controller", "scale_in_consecutive", {.controllers = kControlled},
+     bind<&S::controller, &C::scale_in_consecutive>()},
+    {"controller", "hysteresis", {.controllers = kControlled},
+     bind<&S::controller, &C::hysteresis>(), at_least(0)},
+    {"controller", "predictive", {.controllers = kThresholdRule},
+     bind<&S::controller, &C::predictive>()},
+    {"controller", "sla_rt", {.controllers = kThresholdRule}, bind<&S::controller, &C::sla_rt>()},
+    {"controller", "headroom", {.controllers = kDcm}, bind<&S::controller, &C::headroom>(),
+     at_least(1)},
+    {"controller", "online_estimation", {.controllers = kDcm},
+     bind<&S::controller, &C::online_estimation>()},
+    {"controller", "app_model", {.controllers = kDcm}, bind_model<&C::app_model>(), {},
+     kOmitDefault},
+    {"controller", "db_model", {.controllers = kDcm}, bind_model<&C::db_model>(), {},
+     kOmitDefault},
+    {"controller", "alpha", {.controllers = bits(ControllerKind::kPredictive)},
+     bind<&S::controller, &C::alpha>(), {.min = 0.0, .max = 1.0, .open_min = true}},
+    {"controller", "beta", {.controllers = bits(ControllerKind::kPredictive)},
+     bind<&S::controller, &C::beta>(), unit_interval()},
+    {"controller", "horizon", {.controllers = bits(ControllerKind::kPredictive)},
+     bind<&S::controller, &C::horizon>(), at_least(1)},
+    {"controller", "target_util",
+     {.controllers = bits(ControllerKind::kQueueing, ControllerKind::kPi)},
+     bind<&S::controller, &C::target_util>(),
+     {.min = 0.0, .max = 1.0, .open_min = true, .open_max = true}},
+    {"controller", "kp", {.controllers = bits(ControllerKind::kPi)}, bind<&S::controller, &C::kp>(),
+     at_least(0)},
+    {"controller", "ki", {.controllers = bits(ControllerKind::kPi)}, bind<&S::controller, &C::ki>(),
+     at_least(0)},
+    {"controller", "deadband", {.controllers = bits(ControllerKind::kPi)},
+     bind<&S::controller, &C::deadband>(), at_least(0)},
+
+    {"faults", "crash_mttf", {}, bind<&S::faults, &F::crash_mttf_seconds>()},
+    {"faults", "slowdown_mttf", {}, bind<&S::faults, &F::slowdown_mttf_seconds>()},
+    {"faults", "slowdown_factor", {}, bind<&S::faults, &F::slowdown_factor>()},
+    {"faults", "slowdown_duration", {}, bind<&S::faults, &F::slowdown_duration_seconds>()},
+    {"faults", "telemetry_loss_mttf", {}, bind<&S::faults, &F::telemetry_loss_mttf_seconds>()},
+    {"faults", "telemetry_loss_duration", {},
+     bind<&S::faults, &F::telemetry_loss_duration_seconds>()},
+    {"faults", "agent_silence_mttf", {}, bind<&S::faults, &F::agent_silence_mttf_seconds>()},
+    {"faults", "agent_silence_duration", {},
+     bind<&S::faults, &F::agent_silence_duration_seconds>()},
+
+    {"resilience", "client_timeout", {.resilience = true},
+     bind<&S::resilience, &R::client_timeout_seconds>()},
+    {"resilience", "client_retries", {.resilience = true},
+     bind<&S::resilience, &R::client_retries>()},
+    {"resilience", "client_backoff", {.resilience = true},
+     bind<&S::resilience, &R::client_backoff_seconds>()},
+    {"resilience", "subrequest_timeout", {.resilience = true},
+     bind<&S::resilience, &R::subrequest_timeout_seconds>()},
+    {"resilience", "subrequest_retries", {.resilience = true},
+     bind<&S::resilience, &R::subrequest_retries>()},
+    {"resilience", "health_period", {.resilience = true},
+     bind<&S::resilience, &R::health_period_seconds>(), above(0)},
+    {"resilience", "health_failure_threshold", {.resilience = true},
+     bind<&S::resilience, &R::health_failure_threshold>(), at_least(1)},
+    {"resilience", "replace_failed", {.resilience = true},
+     bind<&S::resilience, &R::replace_failed>()},
+    {"resilience", "watchdog_periods", {.controllers = kDcm, .resilience = true},
+     bind<&S::resilience, &R::watchdog_periods>()},
+    {"resilience", "min_fit_r2", {.controllers = kDcm, .resilience = true},
+     bind<&S::resilience, &R::min_fit_r2>()},
+
+    {"trace", "rate", {.trace = true}, bind<&S::trace, &trace::TraceSpec::rate>(),
+     unit_interval()},
+
+    {"run", "duration", {}, bind<&S::duration_seconds>(), above(0)},
+    {"run", "warmup", {}, bind<&S::warmup_seconds>(), at_least(0)},
+    {"run", "max_vms", {}, bind<&S::max_vms>()},
+    {"run", "seed", {}, bind<&S::seed>()},
+};
+
+const Key* find_key(const std::string& section, const std::string& key) {
+  for (const Key& k : kKeys) {
+    if (section == k.section && key == k.key) return &k;
+  }
+  return nullptr;
+}
+
+Kinds kinds_of(const Config& config) {
+  Scenario gates;
+  for (const Key& k : std::span(kKeys).first(kGateKeys)) {
+    if (config.has(k.section, k.key)) k.field.decode(gates, config, k);
+  }
+  return kinds_of(gates);
+}
+
+const Scenario& defaults() {
+  static const Scenario kDefaults;
+  return kDefaults;
+}
+
+/// `s` with every field whose key does not apply under its kinds reset to
+/// the default — exactly what `to_text()` carries.
+Scenario applicable_part(const Scenario& s) {
+  const Kinds kinds = kinds_of(s);
+  Scenario out;
+  for (const Key& k : kKeys) {
+    if (k.when(kinds)) k.field.copy(out, s);
+  }
+  return out;
+}
+
+workload::Trace resolve_trace(const std::string& name, int peak_users, uint64_t seed) {
+  for (const auto pattern : workload::all_trace_patterns()) {
+    if (name == workload::trace_pattern_name(pattern)) {
+      return workload::make_trace(pattern, peak_users, seed);
     }
   }
+  // Not a taxonomy name — treat as a CSV path.
+  return workload::Trace::load_csv(name);
 }
 
 }  // namespace
 
 bool scenario_key_applies(const Config& config, const std::string& section,
                           const std::string& key) {
-  const auto allowed =
-      allowed_keys(parse_workload_kind(config.get_string("workload", "kind", "rubbos")),
-                   parse_controller_kind(config.get_string("controller", "kind", "none")),
-                   core::topology_spec_from_config(config).kind,
-                   config.get_bool("resilience", "enabled", false),
-                   config.get_bool("trace", "enabled", false));
-  const auto entry = allowed.find(section);
-  return entry != allowed.end() && entry->second.count(key) > 0;
+  const Key* k = find_key(section, key);
+  return k != nullptr && k->when(kinds_of(config));
 }
 
 Scenario Scenario::from_config(const Config& config) {
+  const Kinds kinds = kinds_of(config);
   Scenario scenario;
-  scenario.workload.kind =
-      parse_workload_kind(config.get_string("workload", "kind", "rubbos"));
-  scenario.controller.kind =
-      parse_controller_kind(config.get_string("controller", "kind", "none"));
-  scenario.resilience.enabled = config.get_bool("resilience", "enabled", false);
-  scenario.trace.enabled = config.get_bool("trace", "enabled", false);
-  scenario.topology = core::topology_spec_from_config(config);
-  reject_unknown_keys(config, scenario.workload.kind, scenario.controller.kind,
-                      scenario.topology.kind, scenario.resilience.enabled,
-                      scenario.trace.enabled);
-
-  scenario.name = config.get_string("scenario", "name", "unnamed");
-  scenario.summary = config.get_string("scenario", "summary", "");
-
-  scenario.hardware.web = static_cast<int>(config.get_int("hardware", "web", 1));
-  scenario.hardware.app = static_cast<int>(config.get_int("hardware", "app", 1));
-  scenario.hardware.db = static_cast<int>(config.get_int("hardware", "db", 1));
-
-  scenario.soft.web_threads = static_cast<int>(config.get_int("soft", "web_threads", 1000));
-  scenario.soft.app_threads = static_cast<int>(config.get_int("soft", "app_threads", 100));
-  scenario.soft.db_connections =
-      static_cast<int>(config.get_int("soft", "db_connections", 80));
-
-  scenario.workload.users = static_cast<int>(config.get_int("workload", "users", 100));
-  scenario.workload.think_seconds = config.get_double("workload", "think_seconds", 3.0);
-  scenario.workload.trace = config.get_string("workload", "trace", "large-variation");
-  scenario.workload.peak_users =
-      static_cast<int>(config.get_int("workload", "peak_users", 350));
-
-  ControllerDecl& controller = scenario.controller;
-  controller.control_period_seconds = config.get_double("controller", "control_period", 15.0);
-  controller.scale_out_util = config.get_double("controller", "scale_out_util", 0.80);
-  controller.scale_in_util = config.get_double("controller", "scale_in_util", 0.40);
-  controller.scale_in_consecutive =
-      static_cast<int>(config.get_int("controller", "scale_in_consecutive", 3));
-  controller.hysteresis = config.get_double("controller", "hysteresis", 0.0);
-  if (controller.hysteresis < 0.0) fail("[controller] hysteresis must be >= 0");
-  controller.predictive = config.get_bool("controller", "predictive", false);
-  controller.sla_rt = config.get_double("controller", "sla_rt", 0.0);
-  controller.headroom = config.get_double("controller", "headroom", 1.0);
-  controller.online_estimation = config.get_bool("controller", "online_estimation", false);
-  if (config.has("controller", "app_model")) {
-    controller.app_model =
-        normalize_model_triple("app_model", config.get_string("controller", "app_model"));
-  }
-  if (config.has("controller", "db_model")) {
-    controller.db_model =
-        normalize_model_triple("db_model", config.get_string("controller", "db_model"));
-  }
-  controller.alpha = config.get_double("controller", "alpha", 0.5);
-  controller.beta = config.get_double("controller", "beta", 0.3);
-  controller.horizon = static_cast<int>(config.get_int("controller", "horizon", 2));
-  if (controller.kind == ControllerDecl::Kind::kPredictive) {
-    if (controller.alpha <= 0.0 || controller.alpha > 1.0) {
-      fail("[controller] alpha must be in (0, 1]");
-    }
-    if (controller.beta < 0.0 || controller.beta > 1.0) {
-      fail("[controller] beta must be in [0, 1]");
-    }
-    if (controller.horizon < 1) fail("[controller] horizon must be >= 1");
-  }
-  controller.target_util = config.get_double("controller", "target_util", 0.6);
-  if ((controller.kind == ControllerDecl::Kind::kQueueing ||
-       controller.kind == ControllerDecl::Kind::kPi) &&
-      (controller.target_util <= 0.0 || controller.target_util >= 1.0)) {
-    fail("[controller] target_util must be in (0, 1)");
-  }
-  controller.kp = config.get_double("controller", "kp", 2.0);
-  controller.ki = config.get_double("controller", "ki", 0.5);
-  controller.deadband = config.get_double("controller", "deadband", 0.5);
-  if (controller.kind == ControllerDecl::Kind::kPi) {
-    if (controller.kp < 0.0) fail("[controller] kp must be >= 0");
-    if (controller.ki < 0.0) fail("[controller] ki must be >= 0");
-    if (controller.deadband < 0.0) fail("[controller] deadband must be >= 0");
-  }
-
-  FaultDecl& faults = scenario.faults;
-  faults.crash_mttf = config.get_double("faults", "crash_mttf", 0.0);
-  faults.slowdown_mttf = config.get_double("faults", "slowdown_mttf", 0.0);
-  faults.slowdown_factor = config.get_double("faults", "slowdown_factor", 0.25);
-  faults.slowdown_duration = config.get_double("faults", "slowdown_duration", 30.0);
-  faults.telemetry_loss_mttf = config.get_double("faults", "telemetry_loss_mttf", 0.0);
-  faults.telemetry_loss_duration =
-      config.get_double("faults", "telemetry_loss_duration", 30.0);
-  faults.agent_silence_mttf = config.get_double("faults", "agent_silence_mttf", 0.0);
-  faults.agent_silence_duration =
-      config.get_double("faults", "agent_silence_duration", 30.0);
-
-  if (scenario.resilience.enabled) {
-    ResilienceDecl& res = scenario.resilience;
-    res.client_timeout = config.get_double("resilience", "client_timeout", 2.0);
-    res.client_retries = static_cast<int>(config.get_int("resilience", "client_retries", 2));
-    res.client_backoff = config.get_double("resilience", "client_backoff", 0.25);
-    res.subrequest_timeout = config.get_double("resilience", "subrequest_timeout", 1.0);
-    res.subrequest_retries =
-        static_cast<int>(config.get_int("resilience", "subrequest_retries", 1));
-    res.health_period = config.get_double("resilience", "health_period", 5.0);
-    res.health_failure_threshold =
-        static_cast<int>(config.get_int("resilience", "health_failure_threshold", 3));
-    res.replace_failed = config.get_bool("resilience", "replace_failed", true);
-    if (scenario.controller.kind == ControllerDecl::Kind::kDcm) {
-      res.watchdog_periods =
-          static_cast<int>(config.get_int("resilience", "watchdog_periods", 2));
-      res.min_fit_r2 = config.get_double("resilience", "min_fit_r2", 0.0);
+  for (const auto& [section, keys] : config.sections()) {
+    for (const auto& [key, value] : keys) {
+      const Key* k = find_key(section, key);
+      if (k == nullptr) fail("unknown key '" + key + "' in [" + section + "]");
+      if (!k->when(kinds)) {
+        fail(k->path() + " does not apply under workload.kind = " + encode(kinds.workload) +
+             ", controller.kind = " + encode(kinds.controller) + ", topology.kind = " +
+             encode(kinds.topology) + ", resilience.enabled = " + encode(kinds.resilience) +
+             ", trace.enabled = " + encode(kinds.trace));
+      }
+      k->field.decode(scenario, config, *k);
     }
   }
-
-  if (scenario.trace.enabled) {
-    scenario.trace.rate = config.get_double("trace", "rate", 1.0);
-    if (scenario.trace.rate < 0.0 || scenario.trace.rate > 1.0) {
-      fail("[trace] rate must be in [0, 1]");
-    }
+  if (scenario.warmup_seconds >= scenario.duration_seconds) {
+    fail("[run] warmup must be < duration");
   }
-
-  scenario.duration_seconds = config.get_double("run", "duration", 300.0);
-  scenario.warmup_seconds = config.get_double("run", "warmup", 30.0);
-  scenario.max_vms = static_cast<int>(config.get_int("run", "max_vms", 8));
-  scenario.seed = static_cast<uint64_t>(config.get_int("run", "seed", 1));
-
-  if (scenario.topology.kind == core::TopologySpec::Kind::kGraph) {
+  if (scenario.topology.kind == TopologyKind::kGraph) {
     // Eager validation: building the ServiceGraph rejects duplicate names,
     // unknown roles/endpoints, cycles, unreachable nodes and oversized
     // fan-outs here, at parse time.
@@ -336,137 +493,133 @@ Scenario Scenario::from_config(const Config& config) {
   return scenario;
 }
 
-Scenario Scenario::parse(const std::string& text) {
-  return from_config(Config::parse(text));
-}
+Scenario Scenario::parse(const std::string& text) { return from_config(Config::parse(text)); }
 
-Scenario Scenario::load(const std::string& path) {
-  return from_config(Config::load(path));
-}
+Scenario Scenario::load(const std::string& path) { return from_config(Config::load(path)); }
 
 Config Scenario::to_config() const {
+  const Kinds kinds = kinds_of(*this);
   Config config;
-  config.set("scenario", "name", name);
-  if (!summary.empty()) config.set("scenario", "summary", summary);
-
-  config.set("hardware", "web", format_int(hardware.web));
-  config.set("hardware", "app", format_int(hardware.app));
-  config.set("hardware", "db", format_int(hardware.db));
-
-  config.set("soft", "web_threads", format_int(soft.web_threads));
-  config.set("soft", "app_threads", format_int(soft.app_threads));
-  config.set("soft", "db_connections", format_int(soft.db_connections));
-
-  // chain3 is canonical as an absent [topology] section.
-  if (topology.kind != core::TopologySpec::Kind::kChain3) {
-    config.set("topology", "kind", core::topology_kind_name(topology.kind));
-    if (topology.kind == core::TopologySpec::Kind::kGraph) {
-      config.set("topology", "nodes", core::topology_nodes_to_string(topology));
-      config.set("topology", "edges", core::topology_edges_to_string(topology));
-    }
+  for (const Key& k : kKeys) {
+    if (!k.when(kinds)) continue;
+    std::string value = k.field.encode(*this);
+    if (k.omit_default && value == k.field.encode(defaults())) continue;
+    config.set(k.section, k.key, value);
   }
-
-  config.set("workload", "kind", workload_kind_name(workload.kind));
-  switch (workload.kind) {
-    case WorkloadDecl::Kind::kJmeter:
-      config.set("workload", "users", format_int(workload.users));
-      break;
-    case WorkloadDecl::Kind::kRubbos:
-      config.set("workload", "users", format_int(workload.users));
-      config.set("workload", "think_seconds", format_double(workload.think_seconds));
-      break;
-    case WorkloadDecl::Kind::kTrace:
-      config.set("workload", "trace", workload.trace);
-      config.set("workload", "peak_users", format_int(workload.peak_users));
-      config.set("workload", "think_seconds", format_double(workload.think_seconds));
-      break;
-  }
-
-  config.set("controller", "kind", controller_kind_name(controller.kind));
-  if (controller.kind != ControllerDecl::Kind::kNone) {
-    config.set("controller", "control_period", format_double(controller.control_period_seconds));
-    config.set("controller", "scale_out_util", format_double(controller.scale_out_util));
-    config.set("controller", "scale_in_util", format_double(controller.scale_in_util));
-    config.set("controller", "scale_in_consecutive",
-               format_int(controller.scale_in_consecutive));
-    config.set("controller", "hysteresis", format_double(controller.hysteresis));
-  }
-  if (controller.kind == ControllerDecl::Kind::kEc2 ||
-      controller.kind == ControllerDecl::Kind::kDcm) {
-    config.set("controller", "predictive", controller.predictive ? "true" : "false");
-    config.set("controller", "sla_rt", format_double(controller.sla_rt));
-  }
-  if (controller.kind == ControllerDecl::Kind::kPredictive) {
-    config.set("controller", "alpha", format_double(controller.alpha));
-    config.set("controller", "beta", format_double(controller.beta));
-    config.set("controller", "horizon", format_int(controller.horizon));
-  }
-  if (controller.kind == ControllerDecl::Kind::kQueueing ||
-      controller.kind == ControllerDecl::Kind::kPi) {
-    config.set("controller", "target_util", format_double(controller.target_util));
-  }
-  if (controller.kind == ControllerDecl::Kind::kPi) {
-    config.set("controller", "kp", format_double(controller.kp));
-    config.set("controller", "ki", format_double(controller.ki));
-    config.set("controller", "deadband", format_double(controller.deadband));
-  }
-  if (controller.kind == ControllerDecl::Kind::kDcm) {
-    config.set("controller", "headroom", format_double(controller.headroom));
-    config.set("controller", "online_estimation",
-               controller.online_estimation ? "true" : "false");
-    if (!controller.app_model.empty()) {
-      config.set("controller", "app_model", controller.app_model);
-    }
-    if (!controller.db_model.empty()) {
-      config.set("controller", "db_model", controller.db_model);
-    }
-  }
-
-  config.set("faults", "crash_mttf", format_double(faults.crash_mttf));
-  config.set("faults", "slowdown_mttf", format_double(faults.slowdown_mttf));
-  config.set("faults", "slowdown_factor", format_double(faults.slowdown_factor));
-  config.set("faults", "slowdown_duration", format_double(faults.slowdown_duration));
-  config.set("faults", "telemetry_loss_mttf", format_double(faults.telemetry_loss_mttf));
-  config.set("faults", "telemetry_loss_duration",
-             format_double(faults.telemetry_loss_duration));
-  config.set("faults", "agent_silence_mttf", format_double(faults.agent_silence_mttf));
-  config.set("faults", "agent_silence_duration",
-             format_double(faults.agent_silence_duration));
-
-  config.set("resilience", "enabled", resilience.enabled ? "true" : "false");
-  if (resilience.enabled) {
-    config.set("resilience", "client_timeout", format_double(resilience.client_timeout));
-    config.set("resilience", "client_retries", format_int(resilience.client_retries));
-    config.set("resilience", "client_backoff", format_double(resilience.client_backoff));
-    config.set("resilience", "subrequest_timeout",
-               format_double(resilience.subrequest_timeout));
-    config.set("resilience", "subrequest_retries", format_int(resilience.subrequest_retries));
-    config.set("resilience", "health_period", format_double(resilience.health_period));
-    config.set("resilience", "health_failure_threshold",
-               format_int(resilience.health_failure_threshold));
-    config.set("resilience", "replace_failed", resilience.replace_failed ? "true" : "false");
-    if (controller.kind == ControllerDecl::Kind::kDcm) {
-      config.set("resilience", "watchdog_periods", format_int(resilience.watchdog_periods));
-      config.set("resilience", "min_fit_r2", format_double(resilience.min_fit_r2));
-    }
-  }
-
-  if (trace.enabled) {
-    config.set("trace", "enabled", "true");
-    config.set("trace", "rate", format_double(trace.rate));
-  }
-
-  config.set("run", "duration", format_double(duration_seconds));
-  config.set("run", "warmup", format_double(warmup_seconds));
-  config.set("run", "max_vms", format_int(max_vms));
-  config.set("run", "seed", format_int(static_cast<int64_t>(seed)));
   return config;
 }
 
 std::string Scenario::to_text() const { return to_config().to_text(); }
 
+Scenario Scenario::with_overrides(
+    const std::vector<std::pair<std::string, std::string>>& overrides) const {
+  Config config = to_config();
+  for (const auto& [path, value] : overrides) {
+    const size_t dot = path.find('.');
+    if (dot == std::string::npos || dot == 0 || dot + 1 == path.size()) {
+      fail("override '" + path + "' must be section.key");
+    }
+    config.set(path.substr(0, dot), path.substr(dot + 1), value);
+  }
+  const Kinds kinds = kinds_of(config);
+  Config rebuilt;
+  for (const auto& [section, keys] : config.sections()) {
+    for (const auto& [key, value] : keys) {
+      const Key* k = find_key(section, key);
+      bool keep = k != nullptr && k->when(kinds);
+      for (const auto& named : overrides) keep = keep || named.first == section + "." + key;
+      if (keep) rebuilt.set(section, key, value);
+    }
+  }
+  return from_config(rebuilt);
+}
+
 core::ExperimentConfig Scenario::experiment() const {
-  return core::experiment_from_config(to_config());
+  const Scenario s = applicable_part(*this);
+  core::ExperimentConfig experiment;
+  experiment.hardware = s.hardware;
+  experiment.soft = s.soft;
+  experiment.topology = s.topology;
+  experiment.faults = s.faults;
+  experiment.resilience = s.resilience;
+  experiment.trace = s.trace;
+  experiment.duration_seconds = s.duration_seconds;
+  experiment.warmup_seconds = s.warmup_seconds;
+  experiment.max_vms_per_tier = s.max_vms;
+  experiment.seed = s.seed;
+
+  const WorkloadDecl& w = s.workload;
+  switch (w.kind) {
+    case WorkloadKind::kJmeter:
+      experiment.workload = core::WorkloadSpec::jmeter(w.users);
+      break;
+    case WorkloadKind::kRubbos:
+      experiment.workload = core::WorkloadSpec::rubbos(w.users, w.think_seconds);
+      break;
+    case WorkloadKind::kTrace: {
+      const uint64_t trace_seed = core::experiment_stream_seed(s.seed, core::SeedStream::kTrace);
+      experiment.workload = core::WorkloadSpec::trace_driven(
+          resolve_trace(w.trace, w.peak_users, trace_seed), w.think_seconds);
+      break;
+    }
+  }
+
+  const ControllerDecl& c = s.controller;
+  control::ScalingPolicy policy;
+  policy.control_period = sim::from_seconds(c.control_period_seconds);
+  policy.scale_out_util = c.scale_out_util;
+  policy.scale_in_util = c.scale_in_util;
+  policy.scale_in_consecutive = c.scale_in_consecutive;
+  policy.hysteresis = c.hysteresis;
+  policy.predictive = c.predictive;
+  policy.scale_out_response_time = c.sla_rt;
+  switch (c.kind) {
+    case ControllerKind::kNone:
+      experiment.controller = core::ControllerSpec::none();
+      break;
+    case ControllerKind::kEc2:
+      experiment.controller = core::ControllerSpec::ec2(policy);
+      break;
+    case ControllerKind::kDcm: {
+      control::DcmConfig dcm;
+      dcm.policy = policy;
+      dcm.app_tier_model =
+          model_or(core::tomcat_reference_model(), "[controller] app_model", c.app_model);
+      dcm.db_tier_model =
+          model_or(core::mysql_reference_model(), "[controller] db_model", c.db_model);
+      dcm.stp_headroom = c.headroom;
+      dcm.online_estimation = c.online_estimation;
+      experiment.controller = core::ControllerSpec::dcm_controller(std::move(dcm));
+      break;
+    }
+    case ControllerKind::kPredictive: {
+      control::PredictiveConfig predictive;
+      predictive.policy = policy;
+      predictive.level_alpha = c.alpha;
+      predictive.trend_beta = c.beta;
+      predictive.horizon_periods = c.horizon;
+      experiment.controller = core::ControllerSpec::predictive_controller(predictive);
+      break;
+    }
+    case ControllerKind::kQueueing: {
+      control::QueueingConfig queueing;
+      queueing.policy = policy;
+      queueing.target_util = c.target_util;
+      experiment.controller = core::ControllerSpec::queueing_controller(queueing);
+      break;
+    }
+    case ControllerKind::kPi: {
+      control::PiConfig pi;
+      pi.policy = policy;
+      pi.target_util = c.target_util;
+      pi.kp = c.kp;
+      pi.ki = c.ki;
+      pi.deadband = c.deadband;
+      experiment.controller = core::ControllerSpec::pi_controller(pi);
+      break;
+    }
+  }
+  return experiment;
 }
 
 }  // namespace dcm::scenario

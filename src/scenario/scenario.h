@@ -1,25 +1,27 @@
 // Declarative, serializable experiment scenarios.
 //
 // A `Scenario` is the text-form twin of `core::ExperimentConfig`: hardware,
-// soft allocation, workload, controller, run window and the single root
-// seed, plus a name and a one-line summary. It round-trips losslessly
-// through the INI dialect (`parse` → `to_text` → `parse` is identity, and
-// `to_text` is a canonical fixed point), and translation to a runnable
-// `ExperimentConfig` goes through the existing `core::config_loader` so the
-// CLI, the registry, and hand-written INI files all take exactly one path
-// into the simulator.
+// soft allocation, topology, workload, controller, faults, resilience,
+// tracing, run window and the single root seed, plus a name and a one-line
+// summary. It round-trips losslessly through the INI dialect (`parse` →
+// `to_text` → `parse` is identity, and `to_text` is a canonical fixed point).
 //
-// Unlike the raw config loader, `from_config` is strict: unknown sections
-// or keys (and keys that don't apply to the declared workload/controller
-// kind) are errors, so a typo like `contorller` cannot silently fall back
-// to defaults.
+// One static key table in scenario.cpp names every [section] key, the kinds
+// it applies under, its bounds and the field it binds. That table alone
+// drives strict parsing (unknown sections or keys, keys that don't apply to
+// the declared kinds, and out-of-range values are errors, so a typo like
+// `contorller` cannot silently fall back to defaults), canonical emission,
+// override application and the translation to a runnable `ExperimentConfig`.
+// Defaults are the runtime structs' own initialisers; the scenario layer owns
+// only the text-only ones (the trace name and its peak users).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/config.h"
-#include "core/config_loader.h"
 #include "core/experiment.h"
 #include "core/topologies.h"
 
@@ -31,10 +33,10 @@ namespace dcm::scenario {
 struct WorkloadDecl {
   enum class Kind { kJmeter, kRubbos, kTrace };
   Kind kind = Kind::kRubbos;
-  int users = 100;                // kJmeter / kRubbos
-  double think_seconds = 3.0;     // kRubbos / kTrace
+  int users = core::WorkloadSpec{}.users;                          // kJmeter / kRubbos
+  double think_seconds = core::WorkloadSpec{}.mean_think_seconds;  // kRubbos / kTrace
   std::string trace = "large-variation";  // kTrace: taxonomy name or CSV path
-  int peak_users = 350;           // kTrace, taxonomy patterns only
+  int peak_users = 350;                   // kTrace, taxonomy patterns only
 
   bool operator==(const WorkloadDecl&) const = default;
 };
@@ -47,79 +49,32 @@ struct WorkloadDecl {
 struct ControllerDecl {
   enum class Kind { kNone, kEc2, kDcm, kPredictive, kQueueing, kPi };
   Kind kind = Kind::kNone;
-  double control_period_seconds = 15.0;
-  double scale_out_util = 0.80;
-  double scale_in_util = 0.40;
-  int scale_in_consecutive = 3;
-  /// Schmitt-trigger band half-width on both thresholds (0 = historical
-  /// strict comparisons; any non-none kind).
-  double hysteresis = 0.0;
+  // Any kind but none (ScalingPolicy):
+  double control_period_seconds = sim::to_seconds(control::ScalingPolicy{}.control_period);
+  double scale_out_util = control::ScalingPolicy{}.scale_out_util;
+  double scale_in_util = control::ScalingPolicy{}.scale_in_util;
+  int scale_in_consecutive = control::ScalingPolicy{}.scale_in_consecutive;
+  double hysteresis = control::ScalingPolicy{}.hysteresis;
   // kEc2 / kDcm only (the zoo kinds have their own trigger shapes):
-  bool predictive = false;
-  double sla_rt = 0.0;
-  // kDcm only:
-  double headroom = 1.0;
-  bool online_estimation = false;
+  bool predictive = control::ScalingPolicy{}.predictive;
+  double sla_rt = control::ScalingPolicy{}.scale_out_response_time;
+  // kDcm only (DcmConfig):
+  double headroom = control::DcmConfig{}.stp_headroom;
+  bool online_estimation = control::DcmConfig{}.online_estimation;
   std::string app_model;  // "" = reference model
   std::string db_model;   // "" = reference model
-  // kPredictive only (Holt smoothing):
-  double alpha = 0.5;
-  double beta = 0.3;
-  int horizon = 2;
+  // kPredictive only (PredictiveConfig, Holt smoothing):
+  double alpha = control::PredictiveConfig{}.level_alpha;
+  double beta = control::PredictiveConfig{}.trend_beta;
+  int horizon = control::PredictiveConfig{}.horizon_periods;
   // kQueueing / kPi: per-server utilisation target ρ*.
-  double target_util = 0.6;
-  // kPi only:
-  double kp = 2.0;
-  double ki = 0.5;
-  double deadband = 0.5;
+  double target_util = control::QueueingConfig{}.target_util;
+  // kPi only (PiConfig):
+  double kp = control::PiConfig{}.kp;
+  double ki = control::PiConfig{}.ki;
+  double deadband = control::PiConfig{}.deadband;
 
   bool operator==(const ControllerDecl&) const = default;
-};
-
-/// Declarative fault schedule rates ([faults] section). All-zero MTTFs (the
-/// default) mean a healthy run; the concrete event schedule derives from
-/// the run's root seed, so it is never spelled out in the scenario.
-struct FaultDecl {
-  double crash_mttf = 0.0;
-  double slowdown_mttf = 0.0;
-  double slowdown_factor = 0.25;
-  double slowdown_duration = 30.0;
-  double telemetry_loss_mttf = 0.0;
-  double telemetry_loss_duration = 30.0;
-  double agent_silence_mttf = 0.0;
-  double agent_silence_duration = 30.0;
-
-  bool operator==(const FaultDecl&) const = default;
-};
-
-/// Declarative resilience switchboard ([resilience] section). Detail keys
-/// are only part of the vocabulary when enabled=true; the watchdog keys
-/// additionally require the dcm controller.
-struct ResilienceDecl {
-  bool enabled = false;
-  double client_timeout = 2.0;
-  int client_retries = 2;
-  double client_backoff = 0.25;
-  double subrequest_timeout = 1.0;
-  int subrequest_retries = 1;
-  double health_period = 5.0;
-  int health_failure_threshold = 3;
-  bool replace_failed = true;
-  // kDcm only:
-  int watchdog_periods = 2;
-  double min_fit_r2 = 0.0;
-
-  bool operator==(const ResilienceDecl&) const = default;
-};
-
-/// Declarative tracing knobs ([trace] section). `rate` is only part of the
-/// vocabulary when enabled=true; a disabled declaration is emitted as
-/// nothing at all (the section's absence is its canonical "off" spelling).
-struct TraceDecl {
-  bool enabled = false;
-  double rate = 1.0;
-
-  bool operator==(const TraceDecl&) const = default;
 };
 
 struct Scenario {
@@ -137,20 +92,27 @@ struct Scenario {
   core::TopologySpec topology;
   WorkloadDecl workload;
   ControllerDecl controller;
-  FaultDecl faults;
-  ResilienceDecl resilience;
-  TraceDecl trace;
-  double duration_seconds = 300.0;
-  double warmup_seconds = 30.0;
-  int max_vms = 8;
+  /// [faults]: all-zero MTTFs (the default) mean a healthy run; the concrete
+  /// event schedule derives from the root seed.
+  fault::FaultSpec faults;
+  /// [resilience]: detail keys apply only when enabled; the watchdog keys
+  /// additionally require the dcm controller.
+  core::ResilienceSpec resilience;
+  /// [trace]: `rate` applies only when enabled; disabled is canonical as an
+  /// absent section.
+  trace::TraceSpec trace;
+  double duration_seconds = core::ExperimentConfig{}.duration_seconds;
+  double warmup_seconds = core::ExperimentConfig{}.warmup_seconds;
+  int max_vms = core::ExperimentConfig{}.max_vms_per_tier;
   /// Root seed; every stochastic stream of the run derives from it (see
   /// core::SeedStream and DESIGN.md "Seed derivation & deterministic sweeps").
-  uint64_t seed = 1;
+  uint64_t seed = core::ExperimentConfig{}.seed;
 
   bool operator==(const Scenario&) const = default;
 
   /// Strict translation from a parsed Config; throws std::runtime_error on
-  /// unknown sections/keys, unknown kinds, or malformed values.
+  /// unknown sections/keys, keys that don't apply to the declared kinds,
+  /// unknown kinds, malformed or out-of-range values, and invalid graphs.
   static Scenario from_config(const Config& config);
   /// Parse INI text / load an INI file, then from_config.
   static Scenario parse(const std::string& text);
@@ -162,15 +124,23 @@ struct Scenario {
   /// `to_config().to_text()` — the canonical INI form.
   std::string to_text() const;
 
-  /// Runnable translation, routed through core::experiment_from_config so
-  /// scenarios and raw INI files share one code path into the simulator.
+  /// The one override path (sweep points, tournament and CLI --set):
+  /// applies "section.key" → value pairs on top of the canonical emission,
+  /// later pairs winning. A kind override re-scopes the vocabulary: base
+  /// keys that stop applying are dropped, while an override naming a key
+  /// that does not apply under the final kinds is an error.
+  Scenario with_overrides(
+      const std::vector<std::pair<std::string, std::string>>& overrides) const;
+
+  /// Runnable translation. Reads only the fields whose keys apply under the
+  /// declared kinds, so it depends on nothing `to_text()` does not carry;
+  /// resolves the taxonomy trace (or CSV path) and the reference (or
+  /// overridden) DCM models.
   core::ExperimentConfig experiment() const;
 };
 
 /// True if `Scenario::from_config` would accept [section] key under the
-/// workload/controller kinds declared in `config`. Sweep expansion uses
-/// this to drop base-emitted keys that stop applying after a kind override
-/// (throws if `config` declares an unknown kind).
+/// kinds declared in `config` (throws if `config` declares an unknown kind).
 bool scenario_key_applies(const Config& config, const std::string& section,
                           const std::string& key);
 

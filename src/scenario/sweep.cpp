@@ -23,36 +23,6 @@ bool is_seed_override(const std::vector<std::pair<std::string, std::string>>& ov
   return false;
 }
 
-// Applies one grid point on top of the base emission and re-validates
-// strictly. A kind override (workload.kind / controller.kind) changes which
-// keys are legal, so base-emitted keys that stop applying are dropped — but
-// a key an *override* names is always kept, so a typo'd override still hits
-// the strict check in from_config instead of being silently pruned.
-Scenario scenario_for_point(const Scenario& base,
-                            const std::vector<std::pair<std::string, std::string>>& overrides) {
-  Config config = base.to_config();
-  for (const auto& [path, value] : overrides) {
-    const size_t dot = path.find('.');
-    config.set(path.substr(0, dot), path.substr(dot + 1), value);
-  }
-
-  Config rebuilt;
-  for (const auto& [section, keys] : config.sections()) {
-    for (const auto& [key, value] : keys) {
-      const bool from_override = [&] {
-        for (const auto& [path, v] : overrides) {
-          if (path == section + "." + key) return true;
-        }
-        return false;
-      }();
-      if (from_override || scenario_key_applies(config, section, key)) {
-        rebuilt.set(section, key, value);
-      }
-    }
-  }
-  return Scenario::from_config(rebuilt);
-}
-
 }  // namespace
 
 SweepAxis parse_axis(const std::string& spec) {
@@ -101,7 +71,7 @@ std::vector<PlannedRun> expand_grid(const SweepPlan& plan) {
     // Decoding walked axes back-to-front; present overrides in axis order.
     std::reverse(run.overrides.begin(), run.overrides.end());
 
-    run.scenario = scenario_for_point(plan.base, run.overrides);
+    run.scenario = plan.base.with_overrides(run.overrides);
     if (plan.seed_policy == SeedPolicy::kDerivePerRun && !is_seed_override(run.overrides)) {
       run.scenario.seed = derive_seed(plan.base.seed, static_cast<uint64_t>(index));
     }

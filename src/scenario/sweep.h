@@ -68,8 +68,8 @@ struct PlannedRun {
 
 /// Cartesian expansion, last axis fastest (so axes read like nested loops).
 /// No axes ⇒ exactly the base as run 0. An axis with zero values is an
-/// error, not an empty grid. Overriding a kind key re-scopes the strict key
-/// check: base keys that stop applying under the new kind are dropped, but
+/// error, not an empty grid. Each point is `base.with_overrides(point)`:
+/// base keys that stop applying under an overridden kind are dropped, but
 /// an override naming an inapplicable key still throws.
 std::vector<PlannedRun> expand_grid(const SweepPlan& plan);
 

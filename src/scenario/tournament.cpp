@@ -38,21 +38,6 @@ std::string json_escape(std::string_view text) {
 
 std::string json_number(double value) { return str_format("%.17g", value); }
 
-Scenario resolve_scenario(const std::string& name,
-                          const std::vector<std::pair<std::string, std::string>>& overrides) {
-  Scenario base = has_scenario(name) ? get_scenario(name) : Scenario::load(name);
-  if (overrides.empty()) return base;
-  Config config = base.to_config();
-  for (const auto& [key, value] : overrides) {
-    const size_t dot = key.find('.');
-    if (dot == std::string::npos || dot == 0 || dot + 1 >= key.size()) {
-      throw std::runtime_error("tournament: override must be section.key=value, got: " + key);
-    }
-    config.set(key.substr(0, dot), key.substr(dot + 1), value);
-  }
-  return Scenario::from_config(config);
-}
-
 // Lexicographic scorecard order: quality, then cost, then stability, then
 // name (the deterministic tie-break).
 bool cell_beats(const TournamentCell& a, const TournamentCell& b) {
@@ -83,7 +68,9 @@ Tournament run_tournament(const TournamentOptions& options) {
 
   for (const auto& scenario_name : tournament.scenarios) {
     SweepPlan plan;
-    plan.base = resolve_scenario(scenario_name, options.overrides);
+    const Scenario base =
+        has_scenario(scenario_name) ? get_scenario(scenario_name) : Scenario::load(scenario_name);
+    plan.base = base.with_overrides(options.overrides);
     // Paired comparison: every controller must face the identical trace,
     // client randomness and fault schedule.
     plan.seed_policy = SeedPolicy::kFixed;

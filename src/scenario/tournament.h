@@ -36,8 +36,9 @@ struct TournamentOptions {
   std::vector<std::string> scenarios = {"quickstart", "fig5", "chaos-resilience"};
   /// Controller-registry names; empty = every registered controller.
   std::vector<std::string> controllers;
-  /// "section.key" → value overrides applied to every base scenario (the
-  /// CLI's --set), e.g. shortening run.duration for smoke tests.
+  /// "section.key" → value overrides applied to every base scenario through
+  /// Scenario::with_overrides (the CLI's --set), e.g. shortening
+  /// run.duration for smoke tests.
   std::vector<std::pair<std::string, std::string>> overrides;
   /// Worker threads per scenario sweep; <= 0 = hardware concurrency.
   int jobs = 1;

@@ -24,6 +24,8 @@ struct TraceSpec {
   bool enabled = false;
   /// Head-sampling probability in [0, 1]; 1 = every request.
   double rate = 1.0;
+
+  bool operator==(const TraceSpec&) const = default;
 };
 
 /// A run-level event overlapping sampled traces (controller actuations,

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "core/config_loader.h"
+#include "scenario/scenario.h"
 
 namespace dcm {
 namespace {
+
+// INI text → runnable config: the one path every config file takes.
+core::ExperimentConfig load(const std::string& text) {
+  return scenario::Scenario::parse(text).experiment();
+}
 
 TEST(ConfigTest, ParsesSectionsAndKeys) {
   const Config config = Config::parse(
@@ -69,7 +74,7 @@ TEST(ConfigTest, SetOverrides) {
 }
 
 TEST(ConfigLoaderTest, DefaultsWhenEmpty) {
-  const auto experiment = core::experiment_from_config(Config::parse(""));
+  const auto experiment = load("");
   EXPECT_EQ(experiment.hardware.app, 1);
   EXPECT_EQ(experiment.soft.db_connections, 80);
   EXPECT_EQ(experiment.workload.kind, core::WorkloadSpec::Kind::kRubbosClients);
@@ -78,12 +83,12 @@ TEST(ConfigLoaderTest, DefaultsWhenEmpty) {
 }
 
 TEST(ConfigLoaderTest, FullExperimentTranslation) {
-  const auto experiment = core::experiment_from_config(Config::parse(
+  const auto experiment = load(
       "[hardware]\nweb=1\napp=2\ndb=2\n"
       "[soft]\napp_threads=20\ndb_connections=18\n"
       "[workload]\nkind=jmeter\nusers=64\n"
       "[controller]\nkind=ec2\nscale_out_util=0.7\npredictive=true\nsla_rt=0.8\n"
-      "[run]\nduration=120\nwarmup=10\nmax_vms=6\n"));
+      "[run]\nduration=120\nwarmup=10\nmax_vms=6\n");
   EXPECT_EQ(experiment.hardware.app, 2);
   EXPECT_EQ(experiment.soft.app_threads, 20);
   EXPECT_EQ(experiment.workload.kind, core::WorkloadSpec::Kind::kJmeter);
@@ -96,16 +101,14 @@ TEST(ConfigLoaderTest, FullExperimentTranslation) {
 }
 
 TEST(ConfigLoaderTest, TaxonomyTraceByName) {
-  const auto experiment = core::experiment_from_config(Config::parse(
-      "[workload]\nkind=trace\ntrace=big-spike\npeak_users=200\n"));
+  const auto experiment = load("[workload]\nkind=trace\ntrace=big-spike\npeak_users=200\n");
   EXPECT_EQ(experiment.workload.kind, core::WorkloadSpec::Kind::kTrace);
   EXPECT_GE(experiment.workload.trace.max_users(), 170);
   EXPECT_LE(experiment.workload.trace.max_users(), 230);
 }
 
 TEST(ConfigLoaderTest, DcmControllerGetsReferenceModels) {
-  const auto experiment =
-      core::experiment_from_config(Config::parse("[controller]\nkind=dcm\nheadroom=1.5\n"));
+  const auto experiment = load("[controller]\nkind=dcm\nheadroom=1.5\n");
   EXPECT_EQ(experiment.controller.kind, core::ControllerSpec::Kind::kDcm);
   EXPECT_DOUBLE_EQ(experiment.controller.dcm.stp_headroom, 1.5);
   EXPECT_NEAR(experiment.controller.dcm.db_tier_model.optimal_concurrency(), 36.0, 1.0);
@@ -113,26 +116,20 @@ TEST(ConfigLoaderTest, DcmControllerGetsReferenceModels) {
 
 TEST(ConfigLoaderTest, WorkloadSeedIsRejected) {
   // The two-seed split ([run] seed + [workload] seed) was unified into a
-  // single root seed; the old key must fail loudly, not silently no-op.
-  EXPECT_THROW(core::experiment_from_config(
-                   Config::parse("[workload]\nkind=rubbos\nseed=9\n")),
-               std::runtime_error);
+  // single root seed; the old key is outside the vocabulary and must fail
+  // loudly, not silently no-op.
+  EXPECT_THROW(load("[workload]\nkind=rubbos\nseed=9\n"), std::runtime_error);
 }
 
 TEST(ConfigLoaderTest, DcmModelOverridesParsed) {
-  const auto experiment = core::experiment_from_config(Config::parse(
-      "[controller]\nkind=dcm\napp_model = 2.84e-2, 1e-4, 7.09e-7\n"));
+  const auto experiment = load("[controller]\nkind=dcm\napp_model = 2.84e-2, 1e-4, 7.09e-7\n");
   EXPECT_DOUBLE_EQ(experiment.controller.dcm.app_tier_model.params.s0, 2.84e-2);
   EXPECT_DOUBLE_EQ(experiment.controller.dcm.app_tier_model.params.alpha, 1e-4);
   EXPECT_DOUBLE_EQ(experiment.controller.dcm.app_tier_model.params.beta, 7.09e-7);
   // db model untouched → reference N_b ≈ 36.
   EXPECT_NEAR(experiment.controller.dcm.db_tier_model.optimal_concurrency(), 36.0, 1.0);
-  EXPECT_THROW(core::experiment_from_config(
-                   Config::parse("[controller]\nkind=dcm\napp_model = 1,2\n")),
-               std::runtime_error);
-  EXPECT_THROW(core::experiment_from_config(
-                   Config::parse("[controller]\nkind=dcm\ndb_model = a,b,c\n")),
-               std::runtime_error);
+  EXPECT_THROW(load("[controller]\nkind=dcm\napp_model = 1,2\n"), std::runtime_error);
+  EXPECT_THROW(load("[controller]\nkind=dcm\ndb_model = a,b,c\n"), std::runtime_error);
 }
 
 TEST(ConfigTest, ToTextRoundTrips) {
@@ -153,19 +150,15 @@ TEST(ConfigTest, ToTextRoundTrips) {
 }
 
 TEST(ConfigLoaderTest, UnknownKindsThrow) {
-  EXPECT_THROW(core::experiment_from_config(Config::parse("[workload]\nkind=weird\n")),
-               std::runtime_error);
-  EXPECT_THROW(core::experiment_from_config(Config::parse("[controller]\nkind=weird\n")),
-               std::runtime_error);
-  EXPECT_THROW(core::experiment_from_config(
-                   Config::parse("[workload]\nkind=trace\ntrace=/no/such/file.csv\n")),
-               std::runtime_error);
+  EXPECT_THROW(load("[workload]\nkind=weird\n"), std::runtime_error);
+  EXPECT_THROW(load("[controller]\nkind=weird\n"), std::runtime_error);
+  EXPECT_THROW(load("[workload]\nkind=trace\ntrace=/no/such/file.csv\n"), std::runtime_error);
 }
 
 TEST(ConfigLoaderTest, ConfigDrivenRunExecutes) {
-  const auto experiment = core::experiment_from_config(Config::parse(
+  const auto experiment = load(
       "[workload]\nkind=rubbos\nusers=50\n"
-      "[run]\nduration=40\nwarmup=10\n"));
+      "[run]\nduration=40\nwarmup=10\n");
   const auto result = core::run_experiment(experiment);
   EXPECT_GT(result.completed, 100u);
   EXPECT_EQ(result.errors, 0u);

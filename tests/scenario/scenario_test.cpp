@@ -125,11 +125,11 @@ TEST(ScenarioTest, FaultAndResilienceVocabularyRoundTrips) {
       "[resilience]\nenabled=true\nclient_timeout=1.5\nclient_retries=3\n"
       "subrequest_timeout=0.5\nhealth_period=4\nwatchdog_periods=3\nmin_fit_r2=0.6\n";
   const Scenario first = Scenario::parse(text);
-  EXPECT_DOUBLE_EQ(first.faults.crash_mttf, 90.0);
+  EXPECT_DOUBLE_EQ(first.faults.crash_mttf_seconds, 90.0);
   EXPECT_DOUBLE_EQ(first.faults.slowdown_factor, 0.5);
-  EXPECT_DOUBLE_EQ(first.faults.agent_silence_duration, 20.0);
+  EXPECT_DOUBLE_EQ(first.faults.agent_silence_duration_seconds, 20.0);
   EXPECT_TRUE(first.resilience.enabled);
-  EXPECT_DOUBLE_EQ(first.resilience.client_timeout, 1.5);
+  EXPECT_DOUBLE_EQ(first.resilience.client_timeout_seconds, 1.5);
   EXPECT_EQ(first.resilience.client_retries, 3);
   EXPECT_EQ(first.resilience.watchdog_periods, 3);
   EXPECT_DOUBLE_EQ(first.resilience.min_fit_r2, 0.6);
@@ -431,6 +431,244 @@ TEST(ScenarioTest, KeyAppliesFollowsZooKinds) {
   config.set("controller", "kind", "queueing");
   EXPECT_TRUE(scenario_key_applies(config, "controller", "target_util"));
   EXPECT_FALSE(scenario_key_applies(config, "controller", "predictive"));
+}
+
+// ---------------------------------------------------------------------------
+// The key table: every kind combination, inapplicable fields, bounds and the
+// override path.
+
+constexpr WorkloadDecl::Kind kWorkloadKinds[] = {
+    WorkloadDecl::Kind::kJmeter, WorkloadDecl::Kind::kRubbos, WorkloadDecl::Kind::kTrace};
+constexpr ControllerDecl::Kind kControllerKinds[] = {
+    ControllerDecl::Kind::kNone,       ControllerDecl::Kind::kEc2,
+    ControllerDecl::Kind::kDcm,        ControllerDecl::Kind::kPredictive,
+    ControllerDecl::Kind::kQueueing,   ControllerDecl::Kind::kPi};
+constexpr core::TopologySpec::Kind kTopologyKinds[] = {core::TopologySpec::Kind::kChain3,
+                                                       core::TopologySpec::Kind::kChain4,
+                                                       core::TopologySpec::Kind::kGraph};
+
+// A valid graph, so the graph kind parses (from_config builds it eagerly).
+void add_graph(Scenario& s) {
+  s.topology.nodes = {{"apache", "web"}, {"tomcat", "app"}, {"mysql", "db"}};
+  s.topology.edges = {{"apache", "tomcat", 1, false, false}, {"tomcat", "mysql", 1, true, true}};
+}
+
+// Calls `check` with a default scenario under each of the 216 combinations
+// of workload × controller × topology × resilience × trace kinds.
+template <class Check>
+void for_each_kind_combination(const Check& check) {
+  for (const auto workload : kWorkloadKinds) {
+    for (const auto controller : kControllerKinds) {
+      for (const auto topology : kTopologyKinds) {
+        for (const bool resilience : {false, true}) {
+          for (const bool trace : {false, true}) {
+            Scenario s;
+            s.workload.kind = workload;
+            s.controller.kind = controller;
+            s.topology.kind = topology;
+            if (topology == core::TopologySpec::Kind::kGraph) add_graph(s);
+            s.resilience.enabled = resilience;
+            s.trace.enabled = trace;
+            SCOPED_TRACE(s.to_text());
+            check(s);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ScenarioTableTest, EveryKindCombinationRoundTripsCanonically) {
+  int combinations = 0;
+  for_each_kind_combination([&](const Scenario& s) {
+    ++combinations;
+    const Config config = s.to_config();
+    EXPECT_EQ(Scenario::parse(s.to_text()).to_text(), s.to_text());
+    EXPECT_TRUE(Scenario::from_config(config) == s);
+    for (const auto& [section, keys] : config.sections()) {
+      for (const auto& [key, value] : keys) {
+        EXPECT_TRUE(scenario_key_applies(config, section, key)) << section << "." << key;
+      }
+    }
+  });
+  EXPECT_EQ(combinations, 216);
+}
+
+// Every field a non-default, in-range value; the kinds are left alone.
+void scramble(Scenario& s) {
+  s.name = "scrambled";
+  s.summary = "every field off its default";
+  s.hardware = {2, 3, 2};
+  s.soft = {900, 50, 40};
+  if (s.topology.kind != core::TopologySpec::Kind::kGraph) add_graph(s);
+  s.workload.users = 64;
+  s.workload.think_seconds = 1.5;
+  s.workload.trace = "big-spike";
+  s.workload.peak_users = 200;
+  ControllerDecl& c = s.controller;
+  c.control_period_seconds = 10.0;
+  c.scale_out_util = 0.7;
+  c.scale_in_util = 0.3;
+  c.scale_in_consecutive = 2;
+  c.hysteresis = 0.05;
+  c.predictive = true;
+  c.sla_rt = 0.8;
+  c.headroom = 1.5;
+  c.online_estimation = true;
+  c.app_model = "0.03,0.0001,1e-06";
+  c.db_model = "0.008,0.0001,3e-07";
+  c.alpha = 0.6;
+  c.beta = 0.2;
+  c.horizon = 3;
+  c.target_util = 0.55;
+  c.kp = 3.0;
+  c.ki = 0.25;
+  c.deadband = 0.4;
+  s.faults.crash_mttf_seconds = 90.0;
+  s.faults.slowdown_factor = 0.5;
+  core::ResilienceSpec& r = s.resilience;
+  r.client_timeout_seconds = 1.5;
+  r.client_retries = 3;
+  r.client_backoff_seconds = 0.5;
+  r.subrequest_timeout_seconds = 0.5;
+  r.subrequest_retries = 2;
+  r.health_period_seconds = 4.0;
+  r.health_failure_threshold = 2;
+  r.replace_failed = false;
+  r.watchdog_periods = 3;
+  r.min_fit_r2 = 0.6;
+  s.trace.rate = 0.25;
+  s.duration_seconds = 120.0;
+  s.warmup_seconds = 10.0;
+  s.max_vms = 6;
+  s.seed = 42;
+}
+
+void expect_same_policy(const control::ScalingPolicy& a, const control::ScalingPolicy& b) {
+  EXPECT_EQ(a.control_period, b.control_period);
+  EXPECT_EQ(a.scale_out_util, b.scale_out_util);
+  EXPECT_EQ(a.scale_in_util, b.scale_in_util);
+  EXPECT_EQ(a.scale_in_consecutive, b.scale_in_consecutive);
+  EXPECT_EQ(a.scale_out_response_time, b.scale_out_response_time);
+  EXPECT_EQ(a.predictive, b.predictive);
+  EXPECT_EQ(a.hysteresis, b.hysteresis);
+}
+
+void expect_same_experiment(const core::ExperimentConfig& a, const core::ExperimentConfig& b) {
+  EXPECT_TRUE(a.hardware == b.hardware);
+  EXPECT_TRUE(a.soft == b.soft);
+  EXPECT_TRUE(a.topology == b.topology);
+  EXPECT_EQ(a.workload.kind, b.workload.kind);
+  EXPECT_EQ(a.workload.users, b.workload.users);
+  EXPECT_EQ(a.workload.mean_think_seconds, b.workload.mean_think_seconds);
+  EXPECT_EQ(a.workload.trace.max_users(), b.workload.trace.max_users());
+  EXPECT_EQ(a.workload.trace.duration(), b.workload.trace.duration());
+  const core::ControllerSpec& x = a.controller;
+  const core::ControllerSpec& y = b.controller;
+  EXPECT_EQ(x.kind, y.kind);
+  expect_same_policy(x.policy, y.policy);
+  expect_same_policy(x.dcm.policy, y.dcm.policy);
+  EXPECT_EQ(x.dcm.app_tier_model.params.s0, y.dcm.app_tier_model.params.s0);
+  EXPECT_EQ(x.dcm.db_tier_model.params.beta, y.dcm.db_tier_model.params.beta);
+  EXPECT_EQ(x.dcm.stp_headroom, y.dcm.stp_headroom);
+  EXPECT_EQ(x.dcm.online_estimation, y.dcm.online_estimation);
+  expect_same_policy(x.predictive.policy, y.predictive.policy);
+  EXPECT_EQ(x.predictive.level_alpha, y.predictive.level_alpha);
+  EXPECT_EQ(x.predictive.trend_beta, y.predictive.trend_beta);
+  EXPECT_EQ(x.predictive.horizon_periods, y.predictive.horizon_periods);
+  expect_same_policy(x.queueing.policy, y.queueing.policy);
+  EXPECT_EQ(x.queueing.target_util, y.queueing.target_util);
+  expect_same_policy(x.pi.policy, y.pi.policy);
+  EXPECT_EQ(x.pi.target_util, y.pi.target_util);
+  EXPECT_EQ(x.pi.kp, y.pi.kp);
+  EXPECT_EQ(x.pi.ki, y.pi.ki);
+  EXPECT_EQ(x.pi.deadband, y.pi.deadband);
+  EXPECT_TRUE(a.faults == b.faults);
+  EXPECT_TRUE(a.resilience == b.resilience);
+  EXPECT_TRUE(a.trace == b.trace);
+  EXPECT_EQ(a.duration_seconds, b.duration_seconds);
+  EXPECT_EQ(a.warmup_seconds, b.warmup_seconds);
+  EXPECT_EQ(a.max_vms_per_tier, b.max_vms_per_tier);
+  EXPECT_EQ(a.seed, b.seed);
+}
+
+TEST(ScenarioTableTest, ExperimentIgnoresInapplicableFields) {
+  // The canonical text drops every inapplicable field, so its re-parse holds
+  // defaults there; experiment() must not see the difference.
+  for_each_kind_combination([](Scenario s) {
+    scramble(s);
+    expect_same_experiment(s.experiment(), Scenario::parse(s.to_text()).experiment());
+  });
+}
+
+TEST(ScenarioTableTest, OutOfRangeValuesAreParseErrors) {
+  const char* const kBad[] = {
+      "[run]\nduration=60\nwarmup=60\n",
+      "[run]\nwarmup=-1\n",
+      "[run]\nduration=0\nwarmup=0\n",
+      "[workload]\nusers=-1\n",
+      "[workload]\nthink_seconds=0\n",
+      "[hardware]\nweb=0\n",
+      "[hardware]\napp=0\n",
+      "[hardware]\ndb=0\n",
+      "[soft]\nweb_threads=0\n",
+      "[soft]\napp_threads=0\n",
+      "[soft]\ndb_connections=0\n",
+      "[controller]\nkind=ec2\ncontrol_period=0\n",
+      "[controller]\nkind=ec2\nhysteresis=-0.1\n",
+      "[controller]\nkind=dcm\nheadroom=0.9\n",
+      "[controller]\nkind=dcm\napp_model=0,1e-4,7e-7\n",
+      "[controller]\nkind=dcm\ndb_model=7e-3,-1e-4,2e-7\n",
+      "[controller]\nkind=dcm\napp_model=1,2\n",
+      "[controller]\nkind=predictive\nalpha=0\n",
+      "[controller]\nkind=predictive\nalpha=1.5\n",
+      "[controller]\nkind=predictive\nbeta=-0.1\n",
+      "[controller]\nkind=predictive\nhorizon=0\n",
+      "[controller]\nkind=queueing\ntarget_util=0\n",
+      "[controller]\nkind=pi\ntarget_util=1\n",
+      "[controller]\nkind=pi\nkp=-1\n",
+      "[controller]\nkind=pi\nki=-1\n",
+      "[controller]\nkind=pi\ndeadband=-0.5\n",
+      "[resilience]\nenabled=true\nhealth_period=0\n",
+      "[resilience]\nenabled=true\nhealth_failure_threshold=0\n",
+      "[trace]\nenabled=true\nrate=1.5\n",
+  };
+  for (const char* text : kBad) {
+    SCOPED_TRACE(text);
+    try {
+      Scenario::parse(text);
+      ADD_FAILURE() << "expected a scenario: error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("scenario: ", 0), 0u) << e.what();
+    }
+  }
+  // Values that run stay legal: a zero VM cap, a zero warmup.
+  EXPECT_NO_THROW(Scenario::parse("[run]\nmax_vms=0\nwarmup=0\n"));
+}
+
+TEST(ScenarioTableTest, WithOverridesRescopesOnKindChange) {
+  // Toggling a kind drops the base keys that stop applying...
+  const Scenario fig5 = get_scenario("fig5");
+  Scenario ec2 = fig5.with_overrides({{"controller.kind", "ec2"}});
+  ec2.name = "fig5-ec2";
+  ec2.summary = get_scenario("fig5-ec2").summary;
+  EXPECT_TRUE(ec2 == get_scenario("fig5-ec2"));
+  EXPECT_FALSE(get_scenario("chaos-resilience")
+                   .with_overrides({{"resilience.enabled", "false"}})
+                   .resilience.enabled);
+  EXPECT_NO_THROW(fig5.with_overrides({{"trace.enabled", "true"}, {"trace.enabled", "false"}}));
+  // ...but an override naming a key that does not apply is an error.
+  EXPECT_THROW(fig5.with_overrides({{"controller.kind", "ec2"}, {"controller.headroom", "2"}}),
+               std::runtime_error);
+  EXPECT_THROW(fig5.with_overrides({{"controller.kidn", "ec2"}}), std::runtime_error);
+  EXPECT_THROW(fig5.with_overrides({{"controller", "ec2"}}), std::runtime_error);
+  // Comma-valued keys are plain values here: fig5 plus the two wrong models
+  // is the wrong-models ablation.
+  Scenario wrong = fig5.with_overrides({{"controller.app_model", "2.84e-2,1e-4,7.075e-7"},
+                                        {"controller.db_model", "7.19e-3,1e-4,2.76953125e-7"}});
+  wrong.name = "ablation-wrong-models";
+  wrong.summary = get_scenario("ablation-wrong-models").summary;
+  EXPECT_TRUE(wrong == get_scenario("ablation-wrong-models"));
 }
 
 }  // namespace

@@ -33,6 +33,7 @@ trace        | run fig5 --set run.duration=60 | ;--trace;--trace-rate 0.25
 tournament   | tournament quickstart chaos-resilience --set run.duration=120 | --jobs 1;--jobs $jobs
 topology     | sweep diamond-cache --axis workload.users=150,300 --axis run.max_vms=4,8 | --jobs 1;--jobs $jobs
 fanout-retry | sweep fanout-join --set resilience.enabled=true --axis workload.users=150,300 | --jobs 1;--jobs $jobs
+kind-toggle  | sweep chaos-resilience --set run.duration=120 --set resilience.enabled=false --axis controller.kind=dcm,ec2 | --jobs 1;--jobs $jobs
 "
 
 ran=0

@@ -21,7 +21,9 @@
 //       only "scorecard_digest <n>" (bit-identical for any --jobs).
 //
 // Options (run and sweep):
-//   --set section.key=value   override a base-scenario field (repeatable)
+//   --set section.key=value   override a base-scenario field (repeatable;
+//                             splits at the first '=' only, so comma-valued
+//                             keys like controller.app_model work)
 //   --trace                   enable request tracing (same as --set
 //                             trace.enabled=true; core digests unchanged)
 //   --trace-rate R            head-sampling probability in [0,1] (implies
@@ -45,6 +47,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -95,6 +98,19 @@ int usage(const char* argv0) {
                "             [--quiet]\n",
                argv0, argv0, argv0, argv0, argv0, argv0);
   return 2;
+}
+
+// Every --set as a "section.key" → value pair, in command-line order.
+std::vector<std::pair<std::string, std::string>> parse_sets(const std::vector<std::string>& sets) {
+  std::vector<std::pair<std::string, std::string>> overrides;
+  for (const std::string& set : sets) {
+    const size_t eq = set.find('=');
+    if (eq == std::string::npos) {
+      throw std::runtime_error("--set " + set + " needs section.key=value");
+    }
+    overrides.emplace_back(trim(set.substr(0, eq)), trim(set.substr(eq + 1)));
+  }
+  return overrides;
 }
 
 // A registry name, or a path to an INI file (anything with a '.' or '/' is
@@ -206,13 +222,7 @@ int cmd_tournament(const Options& opts) {
   if (!opts.targets.empty()) tournament_opts.scenarios = opts.targets;
   tournament_opts.controllers = opts.controllers;
   tournament_opts.jobs = opts.jobs;
-  for (const auto& set : opts.sets) {
-    const scenario::SweepAxis axis = scenario::parse_axis(set);
-    if (axis.values.size() != 1) {
-      throw std::runtime_error("--set " + set + " must have exactly one value");
-    }
-    tournament_opts.overrides.emplace_back(axis.section + "." + axis.key, axis.values[0]);
-  }
+  tournament_opts.overrides = parse_sets(opts.sets);
 
   const scenario::Tournament tournament = scenario::run_tournament(tournament_opts);
 
@@ -243,32 +253,22 @@ int cmd_tournament(const Options& opts) {
 }
 
 int cmd_run_or_sweep(const Options& opts) {
+  // --trace / --trace-rate are spellings of trace.* overrides, applied
+  // before --set so an explicit --set trace.* still wins.
+  std::vector<std::pair<std::string, std::string>> overrides;
+  if (opts.trace) overrides.emplace_back("trace.enabled", "true");
+  if (opts.trace_rate >= 0.0) {
+    overrides.emplace_back("trace.rate", str_format("%.17g", opts.trace_rate));
+  }
+  for (auto& set : parse_sets(opts.sets)) overrides.push_back(std::move(set));
+
   scenario::SweepPlan plan;
-  plan.base = load_target(opts.target);
+  plan.base = load_target(opts.target).with_overrides(overrides);
   plan.seed_policy = opts.seed_policy;
   // A single run IS the canonical run: it must keep the scenario's root seed
   // (derive-per-run seeding would silently swap in derive_seed(root, 0) and
   // print a digest nothing in the registry pins).
   if (opts.command == "run") plan.seed_policy = scenario::SeedPolicy::kFixed;
-  if (opts.trace) {
-    // Applied before --set so an explicit --set trace.* still wins.
-    Config config = plan.base.to_config();
-    config.set("trace", "enabled", "true");
-    if (opts.trace_rate >= 0.0) {
-      config.set("trace", "rate", str_format("%.17g", opts.trace_rate));
-    }
-    plan.base = scenario::Scenario::from_config(config);
-  }
-  for (const auto& set : opts.sets) {
-    // --set is a single-value axis applied to the base, not a dimension.
-    const scenario::SweepAxis axis = scenario::parse_axis(set);
-    if (axis.values.size() != 1) {
-      throw std::runtime_error("--set " + set + " must have exactly one value");
-    }
-    Config config = plan.base.to_config();
-    config.set(axis.section, axis.key, axis.values[0]);
-    plan.base = scenario::Scenario::from_config(config);
-  }
   for (const auto& axis : opts.axes) plan.axes.push_back(scenario::parse_axis(axis));
 
   scenario::SweepRunner runner(std::move(plan), opts.jobs);
