@@ -64,6 +64,7 @@ void Server::process(const RequestPtr& request, DoneFn done) {
   DCM_CHECK(request != nullptr);
   if (!online_ || workers_.queue_length() >= config_.max_queue) {
     ++rejected_;
+    report_result(false);
     done(false);
     return;
   }
@@ -320,6 +321,7 @@ void Server::finish_visit(VisitHandle h, bool ok) {
     workers_.release();
     sync_thread_count();
   }
+  report_result(ok);
   done(ok);
   if (workers_.in_use() == 0 && idle_callback_) {
     // Copy first: the callback may reset idle_callback_ (a draining VM
@@ -327,6 +329,10 @@ void Server::finish_visit(VisitHandle h, bool ok) {
     auto cb = idle_callback_;
     cb();
   }
+}
+
+void Server::report_result(bool ok) {
+  if (result_listener_ != nullptr) result_listener_->report_result(this, ok);
 }
 
 void Server::crash() {
@@ -361,6 +367,7 @@ void Server::crash() {
     ++rejected_;
     DoneFn done = std::move(v->done);
     visits_.free(visits_.handle(idx));
+    report_result(false);
     if (done) done(false);
   }
   if (idle_callback_) {

@@ -40,7 +40,8 @@
 
 namespace dcm::ntier {
 
-class Tier;  // downstream dispatch target
+class Tier;          // downstream dispatch target
+class LoadBalancer;  // visit-outcome listener (passive health tracking)
 
 /// One out-edge of a server: a synchronous call target and its optional
 /// caller-side connection pool.
@@ -92,6 +93,14 @@ class Server {
   const SubRequestRetryPolicy& subrequest_retry() const { return retry_; }
   uint64_t subrequest_timeouts() const { return subrequest_timeouts_; }
   uint64_t subrequest_retries() const { return subrequest_retries_; }
+
+  /// Passive health tracking: the listener (non-owning; nullptr, the
+  /// default, = none) hears report_result(this, ok) right before every
+  /// done(ok) — on rejection, on completion and for each visit a crash
+  /// fails. The tier installs its balancer on every server when health
+  /// checks are enabled, so visit outcomes feed it without a per-visit
+  /// wrapper around `done`.
+  void set_result_listener(LoadBalancer* listener) { result_listener_ = listener; }
 
   /// Failure injection: abrupt crash. Every in-flight and queued visit
   /// fails (done(false) fires for each), pools are force-freed, and CPU
@@ -260,6 +269,7 @@ class Server {
   void on_call_result(CallHandle ch, CallState& c, VisitState& v, bool ok);
   void settle_edge(VisitHandle h, bool ok);
   void finish_visit(VisitHandle h, bool ok);
+  void report_result(bool ok);
   void begin_cpu_span(VisitState& visit, double work);
   void end_cpu_span(VisitState& visit);
   void sync_thread_count();
@@ -284,6 +294,7 @@ class Server {
   uint64_t subrequest_retries_ = 0;
   double response_time_sum_ = 0.0;
   bool online_ = true;
+  LoadBalancer* result_listener_ = nullptr;
   std::function<void()> idle_callback_;
 
   uint64_t epoch_ = 0;  // crash count (crashed_since_start)

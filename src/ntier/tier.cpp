@@ -50,6 +50,7 @@ Vm& Tier::launch_vm(sim::SimTime boot_delay) {
   }
   server->set_out_edges(out_edges_);
   server->set_subrequest_retry(retry_policy_);
+  if (health_enabled_) server->set_result_listener(&balancer_);
   std::snprintf(name_buf, sizeof(name_buf), "%s-vm%d", config_.name.c_str(),
                 next_vm_index_);
   auto vm = std::make_unique<Vm>(*engine_, std::string(name_buf), std::move(server),
@@ -87,14 +88,8 @@ void Tier::dispatch(const RequestPtr& request, DoneFn done) {
     tr->add_span(trace::SpanKind::kLbPick, depth_, engine_->now(), engine_->now(),
                  static_cast<double>(balancer_.member_count()));
   }
-  if (health_enabled_) {
-    // Feed the outcome back into the balancer's passive failure tracking.
-    server->process(request, [this, server, done = std::move(done)](bool ok) {
-      balancer_.report_result(server, ok);
-      done(ok);
-    });
-    return;
-  }
+  // With health checks on, the server itself reports the outcome to the
+  // balancer (its result listener) right before `done` fires.
   server->process(request, std::move(done));
 }
 
@@ -177,6 +172,9 @@ void Tier::enable_health_checks(const HealthCheckConfig& config) {
   health_enabled_ = true;
   health_ = config;
   balancer_.set_health_policy(config.failure_threshold);
+  // Every server reports its visit outcomes to the balancer's passive
+  // failure tracking; launch_vm installs the same listener on later VMs.
+  for (auto& vm : vms_) vm->server().set_result_listener(&balancer_);
   health_event_ = engine_->schedule_periodic(sim::from_seconds(health_.period_seconds),
                                              [this] { health_sweep(); });
 }

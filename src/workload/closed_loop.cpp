@@ -67,9 +67,7 @@ ClosedLoopGenerator::ClosedLoopGenerator(sim::Engine& engine, ntier::NTierApp& a
 void ClosedLoopGenerator::start() {
   if (running_) return;
   running_ = true;
-  while (live_users_ < target_users_) {
-    spawn_user(next_user_id_++, rng_.uniform_int(0, start_stagger_));
-  }
+  while (live_users_ < target_users_) spawn_user(rng_.uniform_int(0, start_stagger_));
 }
 
 void ClosedLoopGenerator::stop() { running_ = false; }
@@ -80,144 +78,130 @@ void ClosedLoopGenerator::set_user_count(int users) {
   if (!running_) return;
   // Deficit: spawn staggered newcomers. Excess: loops park themselves at
   // their next cycle boundary (see user_cycle).
-  while (live_users_ < target_users_) {
-    spawn_user(next_user_id_++, rng_.uniform_int(0, start_stagger_));
-  }
+  while (live_users_ < target_users_) spawn_user(rng_.uniform_int(0, start_stagger_));
 }
 
-void ClosedLoopGenerator::spawn_user(int user_index, sim::SimTime initial_delay) {
+void ClosedLoopGenerator::spawn_user(sim::SimTime initial_delay) {
+  // A newcomer takes a parked user's slot when there is one, so users_ stays
+  // bounded by the peak live population however long the run ramps.
+  int user_index;
+  if (free_users_.empty()) {
+    user_index = static_cast<int>(users_.size());
+    users_.emplace_back();
+  } else {
+    user_index = free_users_.back();
+    free_users_.pop_back();
+  }
   ++live_users_;
   engine_->schedule_after(initial_delay, [this, user_index] { user_cycle(user_index); });
-}
-
-ClosedLoopGenerator::UserSlot& ClosedLoopGenerator::user_slot(int user_index) {
-  if (static_cast<size_t>(user_index) >= users_.size()) {
-    users_.resize(static_cast<size_t>(user_index) + 1);
-  }
-  return users_[static_cast<size_t>(user_index)];
 }
 
 void ClosedLoopGenerator::user_cycle(int user_index, double prior_think) {
   if (!running_ || live_users_ > target_users_) {
     --live_users_;
+    free_users_.push_back(user_index);
     return;
   }
   const sim::SimTime issued = engine_->now();
   auto request = factory_(&engine_->arena(), app_->next_request_id(), rng_, issued);
-  const int servlet = request->servlet;
   if (tracer_ != nullptr) {
-    request->trace = tracer_->maybe_sample(request->id, servlet, issued);
+    request->trace = tracer_->maybe_sample(request->id, request->servlet, issued);
     if (request->trace != nullptr && prior_think > 0.0) {
       request->trace->add_span(trace::SpanKind::kThink, trace::kClientTier,
                                issued - sim::from_seconds(prior_think), issued,
                                prior_think);
     }
   }
-  if (retry_.enabled()) {
-    issue_attempt(user_index, request, servlet, issued, /*attempt=*/0);
+  UserSlot& slot = users_[static_cast<size_t>(user_index)];
+  slot.first_issued = issued;
+  slot.servlet = request->servlet;
+  slot.attempt = 0;
+  slot.request = std::move(request);
+  issue_attempt(user_index);
+}
+
+void ClosedLoopGenerator::issue_attempt(int user_index) {
+  UserSlot& slot = users_[static_cast<size_t>(user_index)];
+  const uint32_t generation = ++slot.generation;
+  slot.settled = false;
+  if (trace::TraceContext* tr = slot.request->trace.get()) tr->attempts = slot.attempt + 1;
+  app_->submit(slot.request, [this, user_index, generation](bool ok) {
+    on_response(user_index, generation, ok);
+  });
+  // The submit can settle the attempt synchronously (the front tier has no
+  // server in service) — arm the deadline only if it is still pending. No
+  // user is spawned inside submit, so `slot` is still valid here.
+  if (retry_.timeout_seconds <= 0.0 || slot.settled) return;
+  slot.deadline = engine_->schedule_after(
+      sim::from_seconds(retry_.timeout_seconds),
+      [this, user_index, generation] { on_deadline(user_index, generation); });
+}
+
+void ClosedLoopGenerator::on_response(int user_index, uint32_t generation, bool ok) {
+  UserSlot& slot = users_[static_cast<size_t>(user_index)];
+  // Deadline already expired, or a later attempt (or user) owns the slot:
+  // drop the late response.
+  if (slot.generation != generation || slot.settled) return;
+  slot.settled = true;
+  slot.deadline.cancel();
+  if (!ok) {
+    on_attempt_failed(user_index);
     return;
   }
-  // Legacy path — byte-for-byte the pre-resilience behaviour when no retry
-  // policy is configured. In-flight per-user state (issue time, servlet,
-  // the raw TraceContext pointer kept alive by the Tracer) lives in the
-  // user's slot so the completion lambda is [this, user_index] — 16 bytes,
-  // inside std::function's inline buffer: issuing a request allocates
-  // nothing.
-  UserSlot& slot = user_slot(user_index);
-  slot.issued = issued;
-  slot.servlet = servlet;
-  slot.trace = request->trace.get();
-  app_->submit(request, [this, user_index](bool ok) {
-    const UserSlot& done = users_[static_cast<size_t>(user_index)];
-    const sim::SimTime now = engine_->now();
-    if (ok) {
-      stats_.record_completion(now, sim::to_seconds(now - done.issued), done.servlet);
-    } else {
-      stats_.record_error(now);
-    }
-    if (done.trace != nullptr) done.trace->finalize(now, ok);
-    const double think = think_time_ ? think_time_->sample(rng_) : 0.0;
-    // Always reschedule through the engine — a zero think time must not
-    // recurse synchronously.
-    engine_->schedule_after(sim::from_seconds(think), [this, user_index, think] {
-      user_cycle(user_index, think);
-    });
-  });
+  const sim::SimTime now = engine_->now();
+  stats_.record_completion(now, sim::to_seconds(now - slot.first_issued), slot.servlet);
+  if (trace::TraceContext* tr = slot.request->trace.get()) tr->finalize(now, true);
+  finish_cycle(user_index);
 }
 
-void ClosedLoopGenerator::issue_attempt(int user_index, const ntier::RequestPtr& request,
-                                        int servlet, sim::SimTime first_issued, int attempt) {
-  // Settlement record shared by the response and the deadline: whichever
-  // fires second finds `settled` set and becomes a no-op.
-  struct Attempt {
-    bool settled = false;
-    sim::EventHandle timeout;
-  };
-  auto state = std::make_shared<Attempt>();
-  if (trace::TraceContext* tr = request->trace.get()) tr->attempts = attempt + 1;
-  app_->submit(request, [this, user_index, request, servlet, first_issued, attempt,
-                         state](bool ok) {
-    if (state->settled) return;  // deadline already expired; drop late response
-    state->settled = true;
-    state->timeout.cancel();
-    if (ok) {
-      const sim::SimTime now = engine_->now();
-      stats_.record_completion(now, sim::to_seconds(now - first_issued), servlet);
-      if (trace::TraceContext* tr = request->trace.get()) tr->finalize(now, true);
-      finish_cycle(user_index);
-      return;
-    }
-    on_attempt_failed(user_index, request, servlet, first_issued, attempt);
-  });
-  if (retry_.timeout_seconds > 0.0 && !state->settled) {
-    state->timeout = engine_->schedule_after(
-        sim::from_seconds(retry_.timeout_seconds),
-        [this, user_index, request, servlet, first_issued, attempt, state] {
-          if (state->settled) return;
-          state->settled = true;
-          const sim::SimTime now = engine_->now();
-          stats_.record_timeout(now);
-          if (trace::TraceContext* tr = request->trace.get()) {
-            tr->add_span(trace::SpanKind::kTimeoutWait, trace::kClientTier,
-                         now - sim::from_seconds(retry_.timeout_seconds), now);
-          }
-          on_attempt_failed(user_index, request, servlet, first_issued, attempt);
-        });
+void ClosedLoopGenerator::on_deadline(int user_index, uint32_t generation) {
+  UserSlot& slot = users_[static_cast<size_t>(user_index)];
+  if (slot.generation != generation || slot.settled) return;  // response won the race
+  slot.settled = true;
+  const sim::SimTime now = engine_->now();
+  stats_.record_timeout(now);
+  if (trace::TraceContext* tr = slot.request->trace.get()) {
+    tr->add_span(trace::SpanKind::kTimeoutWait, trace::kClientTier,
+                 now - sim::from_seconds(retry_.timeout_seconds), now);
   }
+  on_attempt_failed(user_index);
 }
 
-void ClosedLoopGenerator::on_attempt_failed(int user_index, const ntier::RequestPtr& request,
-                                            int servlet, sim::SimTime first_issued,
-                                            int attempt) {
-  if (attempt < retry_.max_retries) {
+void ClosedLoopGenerator::on_attempt_failed(int user_index) {
+  UserSlot& slot = users_[static_cast<size_t>(user_index)];
+  trace::TraceContext* tr = slot.request->trace.get();
+  if (slot.attempt < retry_.max_retries) {
     stats_.record_retry();
     const double base =
-        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, attempt);
+        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, slot.attempt);
     const double jitter =
         retry_.jitter_fraction > 0.0
             ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
             : 1.0;
     const double delay = std::max(0.0, base * jitter);
-    if (trace::TraceContext* tr = request->trace.get()) {
+    if (tr != nullptr) {
       tr->add_span(trace::SpanKind::kBackoff, trace::kClientTier, engine_->now(),
                    engine_->now() + sim::from_seconds(delay));
     }
-    engine_->schedule_after(
-        sim::from_seconds(delay),
-        [this, user_index, request, servlet, first_issued, attempt] {
-          issue_attempt(user_index, request, servlet, first_issued, attempt + 1);
-        });
+    ++slot.attempt;
+    // The slot stays settled through the backoff, so nothing but this
+    // continuation can touch it before the re-issue.
+    engine_->schedule_after(sim::from_seconds(delay),
+                            [this, user_index] { issue_attempt(user_index); });
     return;
   }
   stats_.record_error(engine_->now());
-  if (trace::TraceContext* tr = request->trace.get()) {
-    tr->finalize(engine_->now(), false);
-  }
+  if (tr != nullptr) tr->finalize(engine_->now(), false);
   finish_cycle(user_index);
 }
 
 void ClosedLoopGenerator::finish_cycle(int user_index) {
+  // Drop the request as the cycle ends: a thinking user pins no request
+  // memory.
+  users_[static_cast<size_t>(user_index)].request.reset();
   const double think = think_time_ ? think_time_->sample(rng_) : 0.0;
+  // Always reschedule through the engine — a zero think time must not
+  // recurse synchronously.
   engine_->schedule_after(sim::from_seconds(think),
                           [this, user_index, think] { user_cycle(user_index, think); });
 }

@@ -44,8 +44,9 @@ RequestFactory graph_request_factory(const ServletCatalog& catalog,
                                      const ntier::ServiceGraph& graph);
 
 /// Client-side deadline + bounded retry (resilience mechanism). Disabled by
-/// default — the generator then behaves exactly as before, with no extra
-/// events or rng draws. Backoff before re-issue k→k+1 is
+/// default, the degenerate case of the one attempt path: no deadline is
+/// armed and a failure ends the cycle, so no extra events or rng draws.
+/// Backoff before re-issue k→k+1 is
 /// backoff_base · multiplier^k, jittered ±jitter_fraction from the
 /// generator's own deterministic rng stream. Response time is measured from
 /// the first issue to the final success (what the user experienced).
@@ -99,30 +100,41 @@ class ClosedLoopGenerator {
   ClientStats& stats() { return stats_; }
   const ClientStats& stats() const { return stats_; }
 
+  /// Slots allocated so far: bounded by the peak number of live users, since
+  /// a parked user's slot is recycled for the next user spawned.
+  size_t user_slot_count() const { return users_.size(); }
+
  private:
-  void spawn_user(int user_index, sim::SimTime initial_delay);
+  void spawn_user(sim::SimTime initial_delay);
   /// `prior_think` is the think-time (seconds) the user just finished, so a
   /// newly sampled trace can record it as a leading kThink span; < 0 means
   /// "first request, no preceding think".
   void user_cycle(int user_index, double prior_think = -1.0);
-  void issue_attempt(int user_index, const ntier::RequestPtr& request, int servlet,
-                     sim::SimTime first_issued, int attempt);
-  void on_attempt_failed(int user_index, const ntier::RequestPtr& request, int servlet,
-                         sim::SimTime first_issued, int attempt);
+  void issue_attempt(int user_index);
+  void on_response(int user_index, uint32_t generation, bool ok);
+  void on_deadline(int user_index, uint32_t generation);
+  void on_attempt_failed(int user_index);
   void finish_cycle(int user_index);
 
-  /// Per-user in-flight state for the legacy (no-retry) path. Keeping it
-  /// here instead of in the completion lambda shrinks that lambda to
-  /// [this, user_index] — 16 bytes, inside std::function's inline buffer —
-  /// so issuing a request performs no heap allocation. Indexed by user id;
-  /// a user has at most one request in flight, and ids are never reused by
-  /// concurrent cycles.
+  /// One user's in-flight request, across all of its attempts. Keeping it
+  /// here instead of in the continuations shrinks the response and deadline
+  /// callbacks to [this, user_index, generation] and the backoff to
+  /// [this, user_index] — inside std::function's and EventFn's inline
+  /// buffers — so issuing,
+  /// timing out and retrying a request perform no heap allocation. Each
+  /// attempt bumps `generation`, and a continuation carrying an older one
+  /// is a no-op: exactly one of {response, deadline} settles an attempt,
+  /// and a late response never reaches a later attempt or a later user of
+  /// the recycled slot (the generation is never reset).
   struct UserSlot {
-    sim::SimTime issued = 0;
+    ntier::RequestPtr request;  // null between cycles
+    sim::SimTime first_issued = 0;
+    sim::EventHandle deadline;
+    uint32_t generation = 0;
     int servlet = -1;
-    trace::TraceContext* trace = nullptr;
+    int attempt = 0;
+    bool settled = true;
   };
-  UserSlot& user_slot(int user_index);
 
   sim::Engine* engine_;
   ntier::NTierApp* app_;
@@ -136,8 +148,8 @@ class ClosedLoopGenerator {
   bool running_ = false;
   int target_users_ = 0;
   int live_users_ = 0;  // users currently looping (in-flight or thinking)
-  int next_user_id_ = 0;
   std::vector<UserSlot> users_;
+  std::vector<int> free_users_;  // slots of parked users, reused by spawn_user
   ClientStats stats_;
 };
 

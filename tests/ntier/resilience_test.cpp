@@ -128,6 +128,70 @@ TEST(TierHealthSweepTest, ReplacementRespectsMaxVms) {
   EXPECT_EQ(tier.events()[0].kind, "lb_eject");
 }
 
+TEST(TierHealthSweepTest, ReplacementVmFeedsPassiveFailureTracking) {
+  sim::Engine engine;
+  Rng rng(16);
+  TierConfig config;
+  config.name = "app";
+  config.server = slow_leaf();
+  config.initial_vms = 2;
+  config.max_vms = 3;
+  Tier tier(engine, config, 0, rng);
+  HealthCheckConfig health;
+  health.period_seconds = 5.0;
+  health.failure_threshold = 10;
+  tier.enable_health_checks(health);
+
+  // app-vm0 crashes at t=7; the t=10 sweep ejects it and launches app-vm2,
+  // which enters service at t=25 — long after health checks were enabled.
+  engine.schedule_at(sim::from_seconds(7.0), [&] { tier.inject_crash("app-vm0"); });
+  engine.run_until(sim::from_seconds(26.0));
+  ASSERT_EQ(tier.vms().size(), 3u);
+  const Server& fresh = tier.vms()[2]->server();
+  ASSERT_TRUE(tier.balancer().contains(&fresh));
+
+  // The replacement dies silently and stays in the balancer until the next
+  // sweep: every visit routed to it fails fast, and each failure must reach
+  // the balancer's passive tracking.
+  ASSERT_TRUE(tier.inject_crash("app-vm2"));
+  auto req = std::make_shared<RequestContext>();
+  req->demand_scale = {1.0};
+  int failed = 0;
+  for (int i = 0; i < 6; ++i) tier.dispatch(req, [&](bool r) { failed += r ? 0 : 1; });
+  EXPECT_EQ(failed, 3);  // round-robin over {app-vm1, app-vm2}
+  EXPECT_EQ(tier.balancer().consecutive_failures(&fresh), 3);
+}
+
+TEST(TierHealthSweepTest, CrashReportsOneFailurePerFailedVisit) {
+  sim::Engine engine;
+  Rng rng(17);
+  TierConfig config;
+  config.name = "app";
+  config.server = slow_leaf(/*threads=*/4);
+  Tier tier(engine, config, 0, rng);
+  HealthCheckConfig health;
+  health.failure_threshold = 10;
+  tier.enable_health_checks(health);
+
+  // Six visits: four hold a worker, two wait in the accept queue.
+  auto req = std::make_shared<RequestContext>();
+  req->demand_scale = {1.0};
+  int failed = 0;
+  for (int i = 0; i < 6; ++i) tier.dispatch(req, [&](bool r) { failed += r ? 0 : 1; });
+  engine.run_until(sim::from_seconds(0.1));
+  Server& server = tier.vms()[0]->server();
+  ASSERT_EQ(server.in_flight(), 4);
+  ASSERT_EQ(server.queue_length(), 2);
+
+  // A crash with the server still in the balancer fails all six visits;
+  // the balancer hears each failure exactly once.
+  server.crash();
+  EXPECT_EQ(failed, 6);
+  EXPECT_EQ(tier.balancer().consecutive_failures(&server), 6);
+  engine.run_until(sim::from_seconds(5.0));
+  EXPECT_EQ(tier.balancer().consecutive_failures(&server), 6);  // no late reports
+}
+
 TEST(SubRequestRetryTest, RetryRecoversVisitAfterDownstreamFastFail) {
   sim::Engine engine;
   Rng rng(8);

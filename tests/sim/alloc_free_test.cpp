@@ -18,6 +18,7 @@
 #include "ntier/app.h"
 #include "ntier/request.h"
 #include "sim/engine.h"
+#include "workload/closed_loop.h"
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
@@ -192,6 +193,63 @@ TEST(AllocationFreeTest, FanOutJoinRoundTripIsAllocationFreeAtSteadyState) {
   ntier::NTierApp app(engine, core::build_service_graph(spec, {1, 1, 1}, {1000, 100, 80}), 1);
   RoundTripLoop loop{engine, app, {1.0, 1.0, 1.0, 1.0, 1.0}, {1, 1, 2, 2}};
   expect_allocation_free_round_trips(loop);
+}
+
+TEST(AllocationFreeTest, ResilientClosedLoopRoundTripIsAllocationFreeAtSteadyState) {
+  // The chaos-resilience stack without faults: health-checked balancing on
+  // the app and db tiers (the servers report every visit outcome to their
+  // balancer), a deadline + retry on every sub-request, and a client whose
+  // retry policy arms a deadline on each attempt that the response then
+  // cancels. None of it may touch the allocator once warm.
+  Engine engine;
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
+  ntier::SubRequestRetryPolicy sub_retry;
+  sub_retry.timeout_seconds = 5.0;
+  sub_retry.max_retries = 1;
+  ntier::HealthCheckConfig health;
+  health.period_seconds = 1.0;
+  for (size_t i = 0; i < app.tier_count(); ++i) {
+    if (i + 1 < app.tier_count()) app.tier(i).set_subrequest_retry(sub_retry);
+    if (i > 0) app.tier(i).enable_health_checks(health);
+  }
+  // A fixed plan with no servlet: the per-servlet response-time map never
+  // grows, so the only client-side containers are the per-second series.
+  struct Plan {
+    ntier::RequestPtr operator()(Arena* arena, uint64_t id, Rng&, SimTime now) const {
+      ntier::RequestPtr request = ntier::make_request_context(arena);
+      request->id = id;
+      request->created = now;
+      request->demand_scale = {1.0, 1.0, 1.0};
+      request->downstream_calls = {1, 2};
+      return request;
+    }
+  };
+  workload::ClosedLoopConfig config;
+  config.users = 1;
+  workload::ClosedLoopGenerator generator(engine, app, Plan{}, std::move(config));
+  workload::RetryPolicy retry;
+  retry.timeout_seconds = 10.0;  // armed on every attempt, always cancelled
+  retry.max_retries = 1;
+  generator.set_retry_policy(retry);
+  generator.start();
+
+  // Warm up to t = 32.5 s: the per-second series then hold 33 buckets, so
+  // their capacity has doubled to 64 and the measured window (to t = 60 s)
+  // fits without regrowth.
+  engine.run_until(from_seconds(32.5));
+  const uint64_t completed_before = generator.stats().completed();
+  ASSERT_GE(completed_before, 100u) << "warm-up did not complete";
+  const uint64_t before = allocations();
+  engine.run_until(from_seconds(60.0));
+  EXPECT_EQ(allocations(), before) << "steady-state resilient round trips allocated";
+
+  const workload::ClientStats& stats = generator.stats();
+  EXPECT_GT(stats.completed(), completed_before);
+  EXPECT_EQ(stats.errors(), 0u);
+  EXPECT_EQ(stats.timeouts(), 0u);
+  EXPECT_EQ(stats.retries(), 0u);
+  EXPECT_EQ(app.tier(1).subrequest_timeouts(), 0u);
 }
 
 TEST(AllocationFreeTest, OversizedCapturesHeapBoxButStillWork) {

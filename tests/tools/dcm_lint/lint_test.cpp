@@ -3,7 +3,8 @@
 // fixtures are linted under virtual paths inside (or outside) each rule's
 // scope, since scoping is part of the contract. Hot-path-scoped rules use
 // fixtures whose offending code sits inside (or is called from) a hot-path
-// seed class — `Server`, `CpuScheduler`, `EventQueue::pop` — and cold
+// seed class — `Server`, `CpuScheduler`, `EventQueue::pop`,
+// `ClosedLoopGenerator` — and cold
 // variants of the same code that must stay silent.
 //
 // The header-self-sufficiency rule has no token engine: its fixtures are
@@ -183,6 +184,14 @@ TEST(DcmLintTest, RawNewCoversRequestPath) {
   const auto diags = lint_fixture("raw_new_fire.cc", "src/ntier/node_pool.cc");
   EXPECT_EQ(findings(diags), (Expected{{"no-raw-new-in-hot-path", 10},
                                        {"no-raw-new-in-hot-path", 12}}));
+}
+
+TEST(DcmLintTest, RawNewCoversClientRequestPath) {
+  // The closed-loop generator issues, times out and retries every request:
+  // its members are seeds too, so a per-attempt allocation there fires.
+  const auto diags = lint_fixture("raw_new_client_fire.cc", "src/workload/closed_loop.cc");
+  EXPECT_EQ(findings(diags), (Expected{{"no-raw-new-in-hot-path", 13},
+                                       {"no-raw-new-in-hot-path", 15}}));
 }
 
 TEST(DcmLintTest, RawNewColdSiteIsClean) {

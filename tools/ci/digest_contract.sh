@@ -30,6 +30,7 @@ rows="
 sweep        | sweep fig5 --set run.duration=120 --axis controller.kind=dcm,ec2 --axis run.max_vms=4,8 | --jobs 1;--jobs $jobs
 chaos        | sweep chaos-resilience --set run.duration=120 --axis resilience.enabled=true,false --seed-policy fixed | --jobs 1;--jobs $jobs
 trace        | run fig5 --set run.duration=60 | ;--trace;--trace-rate 0.25
+chaos-trace  | run chaos-resilience --set run.duration=120 | ;--trace;--trace-rate 0.25
 tournament   | tournament quickstart chaos-resilience --set run.duration=120 | --jobs 1;--jobs $jobs
 topology     | sweep diamond-cache --axis workload.users=150,300 --axis run.max_vms=4,8 | --jobs 1;--jobs $jobs
 fanout-retry | sweep fanout-join --set resilience.enabled=true --axis workload.users=150,300 | --jobs 1;--jobs $jobs

@@ -8,8 +8,8 @@
 // identifiers each body references, and computes the forward closure from
 // the event-dispatch and request-path seed functions (Engine::run*,
 // EventQueue::pop, Server::*, CpuScheduler::*, Tier::*, SlotPool::*, Vm::*,
-// LoadBalancer::*). A rule then asks `facts.hot.is_hot(path, line)` instead
-// of matching directories.
+// LoadBalancer::*, ClosedLoopGenerator::*). A rule then asks
+// `facts.hot.is_hot(path, line)` instead of matching directories.
 //
 // The analysis is deliberately approximate and over-inclusive:
 //   - edges are matched by unqualified name (a reference to `acquire`
