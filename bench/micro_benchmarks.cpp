@@ -70,6 +70,57 @@ void BM_EngineCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancelHeavy);
 
+/// Think-style timer population for the far band: each timer re-arms
+/// itself 0.5–1.5 s ahead (a cheap LCG spreads the delays), like closed-loop
+/// users parked in think time.
+struct ThinkTimers {
+  dcm::sim::Engine* engine;
+  uint64_t lcg = 1;
+  void arm() {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const int64_t delay = 500'000'000 + static_cast<int64_t>((lcg >> 33) % 1'000'000'000);
+    engine->schedule_after(delay, [this] { arm(); });
+  }
+};
+
+void BM_EngineTimeoutChurn(benchmark::State& state) {
+  // The server/client deadline pattern: each step arms a 1 s timeout into a
+  // far band holding ~1000 think timers, lets 3 ms of traffic pass, then
+  // cancels the timeout (the response beat it). Items are timeouts.
+  dcm::sim::Engine engine;
+  ThinkTimers timers{&engine};
+  for (int i = 0; i < 1000; ++i) timers.arm();
+  for (auto _ : state) {
+    dcm::sim::EventHandle timeout = engine.schedule_after(1'000'000'000, [] {});
+    engine.run_for(3'000'000);
+    timeout.cancel();
+    benchmark::DoNotOptimize(timeout);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineTimeoutChurn);
+
+void BM_EngineRetime(benchmark::State& state) {
+  // The CPU-scheduler pattern: K near-band completion timers, each moved to
+  // a new instant every step (a rate change), re-armed only once it fired.
+  // Items are retimes.
+  const int k = static_cast<int>(state.range(0));
+  dcm::sim::Engine engine;
+  std::vector<dcm::sim::EventHandle> handles(static_cast<size_t>(k));
+  uint64_t lcg = 1;
+  for (auto _ : state) {
+    for (auto& handle : handles) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      const int64_t delay = 100'000 + static_cast<int64_t>((lcg >> 33) % 1'000'000);
+      if (!engine.retime_after(handle, delay)) handle = engine.schedule_after(delay, [] {});
+    }
+    engine.run_for(50'000);
+    benchmark::DoNotOptimize(handles.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * k);
+}
+BENCHMARK(BM_EngineRetime)->Arg(8)->Arg(64);
+
 void BM_EnginePeriodicTimers(benchmark::State& state) {
   // Monitoring-agent-style load: many staggered periodic timers re-arming
   // forever. Items are timer ticks.

@@ -103,14 +103,19 @@ void CpuScheduler::reschedule() {
   auto delay = static_cast<sim::SimTime>(scaled);
   if (static_cast<double>(delay) < scaled) ++delay;
   const sim::SimTime fire_at = engine_->now() + delay;
-  // Same fire instant as the event already in the queue: keep it. The timing
-  // is identical by construction (compared in whole nanoseconds); only the
-  // cancel + re-push heap round-trip is skipped.
-  if (pending_live_ && fire_at == pending_fire_at_) return;
-  pending_completion_.cancel();
-  pending_completion_ = engine_->schedule_after(delay, [this] { on_completion_event(); });
+  if (pending_live_) {
+    // Same fire instant as the event already in the queue: keep it. The
+    // timing is identical by construction (compared in whole nanoseconds).
+    if (fire_at == pending_fire_at_) return;
+    // Move the pending event in place; it fires exactly where a cancel +
+    // schedule pair would put it (the retime draws a fresh sequence number).
+    const bool moved = engine_->retime_after(pending_completion_, delay);
+    DCM_CHECK_MSG(moved, "pending CPU completion went stale");
+  } else {
+    pending_completion_ = engine_->schedule_after(delay, [this] { on_completion_event(); });
+    pending_live_ = true;
+  }
   pending_fire_at_ = fire_at;
-  pending_live_ = true;
 }
 
 void CpuScheduler::on_completion_event() {

@@ -161,12 +161,14 @@ class CpuScheduler {
   double cap_memo_key_[2] = {-1.0, -1.0};
   double cap_memo_val_[2] = {0.0, 0.0};
 
+  /// The one completion event; while pending_live_, reschedule() retimes it
+  /// in place instead of cancelling and re-arming it.
   sim::EventHandle pending_completion_;
   /// Absolute fire time of pending_completion_ while pending_live_. Lets
   /// reschedule() keep the already-scheduled event when the recomputed fire
   /// instant is identical (common under worker-churn: set_thread_count fires
   /// on every acquire/release but n = max(threads, jobs) is often pinned by
-  /// the job count) — skipping a cancel + heap push pair per no-op call.
+  /// the job count) — skipping even the retime per no-op call.
   sim::SimTime pending_fire_at_ = 0;
   bool pending_live_ = false;
   /// True while on_completion_event() runs the popped jobs' callbacks; state

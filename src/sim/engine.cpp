@@ -36,6 +36,11 @@ EventHandle Engine::schedule_at(SimTime at, EventFn fn) {
   return queue_.schedule(at, std::move(fn));
 }
 
+bool Engine::retime_after(const EventHandle& handle, SimTime delay) {
+  DCM_CHECK_MSG(delay >= 0, "negative delay");
+  return queue_.retime(handle, now_ + delay);
+}
+
 uint32_t Engine::alloc_periodic_slot() {
   if (periodic_free_head_ != kNilSlot) {
     const uint32_t slot = periodic_free_head_;

@@ -5,6 +5,7 @@
 // read the clock via now().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +35,12 @@ class Engine {
   /// callable; cancelling destroys it (and everything it captures).
   EventHandle schedule_periodic(SimTime period, EventFn fn);
 
+  /// Moves the pending event behind `handle` to now() + `delay` (>= 0) in
+  /// place: same callable, no slab traffic. Fires in exactly the order a
+  /// cancel() + schedule_after() pair would produce. Returns false, changing
+  /// nothing, when the event already fired or was cancelled.
+  bool retime_after(const EventHandle& handle, SimTime delay);
+
   /// Runs until the queue drains or the clock would pass `end`; the clock is
   /// left at min(end, last-event-time... ) — precisely: events with time <=
   /// end fire, then now() becomes end.
@@ -47,6 +54,10 @@ class Engine {
 
   /// Number of events dispatched so far (for microbenches/diagnostics).
   uint64_t events_dispatched() const { return dispatched_; }
+
+  /// Exact number of pending events (a periodic chain counts its one
+  /// scheduled tick). For tests and diagnostics.
+  size_t pending_events() const { return queue_.pending(); }
 
   /// Run-scoped allocation arena for hot-path objects (request contexts and
   /// friends). Everything allocated from it must die before the engine does.

@@ -11,8 +11,11 @@ uint32_t EventQueue::alloc_slot() {
     slots_[slot].next_free = kNilSlot;
     return slot;
   }
-  DCM_CHECK_MSG(slots_.size() < kNilSlot, "event slab exhausted");
+  // Heap indices share their word with the band bit, so the slab (which
+  // bounds every heap's size) stays below it.
+  DCM_CHECK_MSG(slots_.size() < kFarBit, "event slab exhausted");
   slots_.emplace_back();
+  pos_.push_back(0);
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
@@ -20,26 +23,47 @@ void EventQueue::cancel(uint32_t slot, uint32_t generation) {
   if (slot >= slots_.size()) return;
   Slot& s = slots_[slot];
   if (s.generation != generation) return;  // already fired, cancelled, or reused
-  s.fn.reset();  // release captured state eagerly; the heap entry dies lazily
+  // Move the callable out first and let it die after the heap is consistent
+  // again: destroying its captures may cancel or schedule other events.
+  const EventFn dead = std::move(s.fn);
   free_slot(slot);
+  const uint32_t pos = pos_[slot];
+  erase_at((pos & kFarBit) != 0 ? far_ : near_, pos & ~kFarBit);
 }
 
-bool EventQueue::empty() { return min_front() == nullptr; }
+bool EventQueue::retime(const EventHandle& handle, SimTime at) {
+  if (handle.kind_ != EventHandle::Kind::kEvent) {
+    DCM_CHECK_MSG(handle.kind_ == EventHandle::Kind::kNone, "retime of a periodic handle");
+    return false;
+  }
+  DCM_CHECK_MSG(handle.owner_ == this, "retime through another queue's handle");
+  const uint32_t slot = handle.slot_;
+  if (slots_[slot].generation != handle.generation_) return false;  // fired or cancelled
+  const uint32_t pos = pos_[slot];
+  std::vector<Entry>& from = (pos & kFarBit) != 0 ? far_ : near_;
+  std::vector<Entry>& to = band_for(at);
+  const size_t i = pos & ~kFarBit;
+  if (&from != &to) {
+    erase_at(from, i);
+    push(Entry{at, next_seq_++, slot});
+    return true;
+  }
+  Entry& e = from[i];
+  e.time = at;
+  e.seq = next_seq_++;
+  resift(from, i);
+  return true;
+}
 
-SimTime EventQueue::next_time() {
-  std::vector<Entry>* h = min_front();
-  DCM_CHECK_MSG(h != nullptr, "next_time on empty queue");
-  return h->front().time;
+SimTime EventQueue::next_time() const {
+  DCM_CHECK_MSG(!empty(), "next_time on empty queue");
+  return (far_first() ? far_ : near_).front().time;
 }
 
 EventQueue::Popped EventQueue::pop() {
-  std::vector<Entry>* h = min_front();
-  DCM_CHECK_MSG(h != nullptr, "pop on empty queue");
-  const Entry top = h->front();
-  Popped out{top.time, std::move(slots_[top.slot].fn)};
-  free_slot(top.slot);  // generation bump makes a late cancel() a no-op
-  now_floor_ = top.time;
-  remove_front(*h);
+  Popped out{};
+  const bool popped = pop_until(kMaxSimTime, out);
+  DCM_CHECK_MSG(popped, "pop on empty queue");
   return out;
 }
 

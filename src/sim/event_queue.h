@@ -1,20 +1,26 @@
 // Pending-event set for the discrete-event engine.
 //
 // Events at equal timestamps fire in scheduling order (FIFO), which the
-// engine relies on for deterministic replay. Cancellation is O(1) lazy: a
-// cancelled event stays in the heap until it surfaces, then is skipped.
+// engine relies on for deterministic replay. The pending set is exact: a
+// cancelled event is erased from the heap on the spot, so no dead entry is
+// ever stored, sifted or popped, and pending() counts live events only.
 //
 // Hot-path design (the simulator spends most of its time here):
 //  - EventFn is a small-buffer-optimized move-only callable: captures up to
 //    kInlineCapacity bytes live inline, larger ones fall back to the heap.
-//  - Cancellation is generation-counted: each scheduled event borrows a slot
+//  - Handles are generation-counted: each scheduled event borrows a slot
 //    from a slab; the handle remembers (slot, generation) and a stale
-//    generation makes cancel() a no-op. No per-event shared_ptr.
+//    generation makes cancel()/retime() a no-op. No per-event shared_ptr.
 //  - The pending set is an owned vector-backed 4-ary min-heap whose entries
 //    are 24-byte PODs (the callable stays in the slab), so sift operations
 //    are plain copies and pop() moves the callable out exactly once.
-// Steady-state schedule/pop/cancel therefore performs zero heap allocations
-// once the heap vector and slab have grown to the working-set size.
+//  - A position index (one uint32_t per slab slot: heap index plus a band
+//    bit) is written on every sift move. It lets cancel() erase an entry in
+//    O(log n) where it sits, and retime() move a live event to a new time
+//    in place — same slot, same callable, no slab traffic.
+// Steady-state schedule/pop/cancel/retime therefore performs zero heap
+// allocations once the heap vectors and slab have grown to the working-set
+// size.
 #pragma once
 
 #include <cstddef>
@@ -146,12 +152,13 @@ class EventFn {
 class EventQueue;
 class Engine;
 
-/// Handle for cancelling a scheduled event or periodic chain.
+/// Handle for cancelling a scheduled event or periodic chain, or for
+/// retiming a scheduled event (Engine::retime_after).
 /// Default-constructed handles are inert. Copies share the underlying
 /// (slot, generation) identity, so cancelling any copy cancels the event.
 /// A handle that outlives its owner (EventQueue or Engine) must not be
-/// cancelled — all current components hold a reference to an engine that
-/// outlives them, matching that rule by construction.
+/// cancelled or retimed — all current components hold a reference to an
+/// engine that outlives them, matching that rule by construction.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -191,25 +198,31 @@ class EventQueue {
     const uint32_t slot = alloc_slot();
     Slot& s = slots_[slot];
     s.fn = std::move(fn);
-    std::vector<Entry>& h = (at - now_floor_) > kFarDelay ? far_ : near_;
-    h.push_back(Entry{at, next_seq_++, slot, s.generation});
-    sift_up(h, h.size() - 1);
+    push(Entry{at, next_seq_++, slot});
     return EventHandle(this, slot, s.generation, EventHandle::Kind::kEvent);
   }
 
-  /// True iff no live (non-cancelled) event remains. Purges dead entries at
-  /// the front as a side effect, hence non-const.
-  bool empty();
+  /// Moves the live event behind `handle` to absolute time `at`, keeping its
+  /// slot and callable. Returns false (and changes nothing) when the handle
+  /// is inert or stale — the event already fired or was cancelled.
+  ///
+  /// The entry draws a fresh sequence number, exactly as the cancel +
+  /// schedule pair it replaces would, so the set of live (time, seq) keys —
+  /// and with it the pop order — is identical to that pair's at every
+  /// instant: a retimed event fires after events already pending at its
+  /// new time.
+  bool retime(const EventHandle& handle, SimTime at);
 
-  /// Number of entries still in the heaps — an upper bound on live events
-  /// (cancelled entries buried below the front are counted until they
-  /// surface).
-  size_t pending_upper_bound() const { return near_.size() + far_.size(); }
+  /// True iff no event is pending.
+  bool empty() const { return near_.empty() && far_.empty(); }
 
-  /// Timestamp of the earliest live event; requires !empty().
-  SimTime next_time();
+  /// Exact number of pending (scheduled, not yet fired or cancelled) events.
+  size_t pending() const { return near_.size() + far_.size(); }
 
-  /// Pops and returns the earliest live event. Requires !empty().
+  /// Timestamp of the earliest pending event; requires !empty().
+  SimTime next_time() const;
+
+  /// Pops and returns the earliest pending event. Requires !empty().
   struct Popped {
     SimTime time;
     EventFn fn;
@@ -217,28 +230,33 @@ class EventQueue {
   Popped pop();
 
   /// Hot-path combination of empty()/next_time()/pop(): pops the earliest
-  /// live event into `out` iff its time is <= `horizon`. Returns false when
-  /// the queue is empty or the next event is beyond the horizon. Does the
-  /// lazy-cancellation purge exactly once.
+  /// event into `out` iff its time is <= `horizon`. Returns false when the
+  /// queue is empty or the next event is beyond the horizon.
   bool pop_until(SimTime horizon, Popped& out) {
-    std::vector<Entry>* h = min_front();
-    if (h == nullptr || h->front().time > horizon) return false;
-    const Entry top = h->front();
+    // Destroy the previous callable before the heap is read: its captures'
+    // destructors may cancel or schedule, which moves heap entries.
+    out.fn.reset();
+    if (empty()) return false;
+    std::vector<Entry>& h = far_first() ? far_ : near_;
+    const Entry top = h.front();
+    if (top.time > horizon) return false;
     out.time = top.time;
     out.fn = std::move(slots_[top.slot].fn);
     free_slot(top.slot);
     now_floor_ = top.time;
-    remove_front(*h);
+    erase_at(h, 0);
     return true;
   }
 
   /// Cancels the event identified by (slot, generation); stale identities
-  /// are ignored. Destroys the captured state eagerly.
+  /// are ignored. Erases its heap entry and destroys the captured state.
   void cancel(uint32_t slot, uint32_t generation);
 
  private:
   static constexpr size_t kArity = 4;  // 4-ary heap: shallower, cache-friendlier
   static constexpr uint32_t kNilSlot = 0xffffffffu;
+  /// Band bit of a position-index word; the low 31 bits are the heap index.
+  static constexpr uint32_t kFarBit = 0x80000000u;
   /// Band boundary for the near/far heap split: events aiming further than
   /// this past the last dispatched time go to the far heap. 200ms cleanly
   /// separates the simulator's two event populations — sub-ms service/
@@ -252,7 +270,6 @@ class EventQueue {
     SimTime time;
     uint64_t seq;
     uint32_t slot;
-    uint32_t generation;
   };
   struct Slot {
     EventFn fn;
@@ -265,8 +282,6 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  bool live(const Entry& e) const { return slots_[e.slot].generation == e.generation; }
-
   // The helpers below are defined inline: they sit on the per-event hot path
   // and the simulator's throughput is bounded by how fast they run.
 
@@ -274,25 +289,44 @@ class EventQueue {
 
   void free_slot(uint32_t slot) {
     Slot& s = slots_[slot];
-    // Bumping the generation invalidates every outstanding handle and every
-    // heap entry that still references this slot.
+    // Bumping the generation invalidates every outstanding handle.
     ++s.generation;
     s.next_free = free_head_;
     free_head_ = slot;
   }
 
+  std::vector<Entry>& band_for(SimTime at) {
+    return (at - now_floor_) > kFarDelay ? far_ : near_;
+  }
+
+  uint32_t band_bit(const std::vector<Entry>& h) const { return &h == &far_ ? kFarBit : 0; }
+
+  /// Stores `e` at index `i` of `h` and records the position.
+  void place(std::vector<Entry>& h, size_t i, const Entry& e, uint32_t band) {
+    h[i] = e;
+    pos_[e.slot] = static_cast<uint32_t>(i) | band;
+  }
+
+  void push(const Entry& e) {
+    std::vector<Entry>& h = band_for(e.time);
+    h.push_back(e);
+    sift_up(h, h.size() - 1);
+  }
+
   void sift_up(std::vector<Entry>& h, size_t i) {
+    const uint32_t band = band_bit(h);
     const Entry e = h[i];
     while (i > 0) {
       const size_t parent = (i - 1) / kArity;
       if (!before(e, h[parent])) break;
-      h[i] = h[parent];
+      place(h, i, h[parent], band);
       i = parent;
     }
-    h[i] = e;
+    place(h, i, e, band);
   }
 
   void sift_down(std::vector<Entry>& h, size_t i) {
+    const uint32_t band = band_bit(h);
     const size_t n = h.size();
     const Entry e = h[i];
     for (;;) {
@@ -304,38 +338,44 @@ class EventQueue {
         if (before(h[c], h[best])) best = c;
       }
       if (!before(h[best], e)) break;
-      h[i] = h[best];
+      place(h, i, h[best], band);
       i = best;
     }
-    h[i] = e;
+    place(h, i, e, band);
   }
 
-  void remove_front(std::vector<Entry>& h) {
-    h.front() = h.back();
-    h.pop_back();
-    if (!h.empty()) sift_down(h, 0);
-  }
-
-  void drop_cancelled(std::vector<Entry>& h) {
-    while (!h.empty() && !live(h.front())) {
-      remove_front(h);
+  /// Restores the heap property at `i` after its key changed either way.
+  void resift(std::vector<Entry>& h, size_t i) {
+    if (i > 0 && before(h[i], h[(i - 1) / kArity])) {
+      sift_up(h, i);
+    } else {
+      sift_down(h, i);
     }
   }
 
-  /// Purges dead fronts and returns the heap holding the globally earliest
-  /// live entry by (time, seq) — nullptr when both bands are drained. This
-  /// is the merge point that makes the band split invisible to callers.
-  std::vector<Entry>* min_front() {
-    drop_cancelled(near_);
-    drop_cancelled(far_);
-    if (near_.empty()) return far_.empty() ? nullptr : &far_;
-    if (far_.empty() || before(near_.front(), far_.front())) return &near_;
-    return &far_;
+  /// Removes the entry at index `i`: the last entry fills the hole and is
+  /// sifted whichever way its key demands.
+  void erase_at(std::vector<Entry>& h, size_t i) {
+    const Entry last = h.back();
+    h.pop_back();
+    if (i == h.size()) return;
+    h[i] = last;
+    resift(h, i);
+  }
+
+  /// True iff the globally earliest entry by (time, seq) sits in the far
+  /// band; requires !empty(). This is the merge point that makes the band
+  /// split invisible to callers.
+  bool far_first() const {
+    return near_.empty() || (!far_.empty() && before(far_.front(), near_.front()));
   }
 
   std::vector<Entry> near_;
   std::vector<Entry> far_;
   std::vector<Slot> slots_;
+  /// Position index, parallel to slots_: heap index | band bit of the slot's
+  /// entry. Meaningful only while the slot holds a pending event.
+  std::vector<uint32_t> pos_;
   /// Time of the last popped event — a monotone floor of "now" used to band
   /// incoming schedules by delay without a back-pointer to the engine.
   SimTime now_floor_ = 0;

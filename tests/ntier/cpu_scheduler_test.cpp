@@ -6,6 +6,8 @@
 
 #include <cmath>
 
+#include "common/rng.h"
+
 #include "core/topologies.h"
 #include "sim/engine.h"
 
@@ -203,6 +205,34 @@ TEST(CpuSchedulerTest, ThreadCountChangeReshapesServiceRate) {
   EXPECT_FALSE(done) << "inflated service should be slower than 1x";
   engine.run_to_completion();
   EXPECT_TRUE(done);
+}
+
+TEST(CpuSchedulerTest, ChurnLeavesNoTombstones) {
+  // Every rate change moves the one completion event in place, so the
+  // scheduler never has more than one event pending — at any step of a
+  // submit / thread-count churn — and none after abort_all().
+  sim::Engine engine;
+  CpuModelConfig cpu;
+  cpu.params = {0.004, 0.0004, 0.00002};
+  CpuScheduler scheduler(engine, cpu);
+  dcm::Rng rng(424242);
+  int completed = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const double roll = rng.next_double();
+    if (roll < 0.4 && scheduler.active_jobs() < 30) {
+      scheduler.submit(0.001 + 0.01 * rng.next_double(), [&completed] { ++completed; });
+    } else if (roll < 0.8) {
+      scheduler.set_thread_count(static_cast<int>(rng.uniform_int(0, 40)));
+    } else {
+      engine.run_for(static_cast<sim::SimTime>(rng.uniform_int(0, 2'000'000)));
+    }
+    ASSERT_LE(engine.pending_events(), 1u) << "step " << step;
+    ASSERT_EQ(engine.pending_events(), scheduler.active_jobs() > 0 ? 1u : 0u) << "step " << step;
+  }
+  EXPECT_GT(completed, 1000);
+  ASSERT_GT(scheduler.active_jobs(), 0);  // abort_all() below has work to drop
+  scheduler.abort_all();
+  EXPECT_EQ(engine.pending_events(), 0u);
 }
 
 TEST(CpuSchedulerTest, MillionEventRunReanchorsFpDrift) {

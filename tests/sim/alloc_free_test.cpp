@@ -98,6 +98,39 @@ TEST(AllocationFreeTest, SteadyStateCancelCycleDoesNotAllocate) {
   EXPECT_EQ(fired, (64u + 1000u) * 16u);
 }
 
+TEST(AllocationFreeTest, SteadyStateRetimeAndEagerCancelDoNotAllocate) {
+  // The CPU-scheduler and deadline patterns: near-band timers retimed every
+  // step, and a far-band timeout armed and erased before it fires, beside a
+  // far band of long-lived timers.
+  Engine engine;
+  uint64_t fired = 0;
+  uint64_t* fired_ptr = &fired;
+  std::array<EventHandle, 8> near;
+  for (size_t k = 0; k < near.size(); ++k) {
+    near[k] = engine.schedule_after(1'000'000, [fired_ptr] { ++*fired_ptr; });
+  }
+  for (int i = 0; i < 256; ++i) {
+    engine.schedule_after(from_seconds(1000.0) + i, [fired_ptr] { ++*fired_ptr; });
+  }
+  auto cycle = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      EventHandle timeout = engine.schedule_after(from_seconds(1.0), [fired_ptr] { ++*fired_ptr; });
+      for (size_t k = 0; k < near.size(); ++k) {
+        const SimTime delay = 1'000'000 + static_cast<SimTime>((i * 7 + k * 13) % 50) * 1000;
+        EXPECT_TRUE(engine.retime_after(near[k], delay));
+      }
+      engine.run_for(100'000);
+      timeout.cancel();
+    }
+  };
+  cycle(64);  // warm-up
+  const uint64_t before = allocations();
+  cycle(5000);
+  EXPECT_EQ(allocations(), before);
+  EXPECT_EQ(fired, 0u);
+  EXPECT_EQ(engine.pending_events(), near.size() + 256);
+}
+
 TEST(AllocationFreeTest, PeriodicReArmDoesNotAllocate) {
   Engine engine;
   uint64_t ticks = 0;

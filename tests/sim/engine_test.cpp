@@ -194,5 +194,31 @@ TEST(TimeTest, ConversionsRoundTrip) {
   EXPECT_DOUBLE_EQ(to_millis(from_millis(3.5)), 3.5);
 }
 
+TEST(EngineTest, RetimeAfterMovesThePendingEventRelativeToNow) {
+  Engine engine;
+  engine.run_until(from_seconds(1.0));
+  SimTime seen = -1;
+  EventHandle handle = engine.schedule_after(from_seconds(5.0), [&] { seen = engine.now(); });
+  EXPECT_TRUE(engine.retime_after(handle, from_seconds(2.0)));
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_until(from_seconds(10.0));
+  EXPECT_EQ(seen, from_seconds(3.0));
+  EXPECT_FALSE(engine.retime_after(handle, from_seconds(1.0)));  // fired: stale
+  EXPECT_EQ(engine.pending_events(), 0u);
+}
+
+TEST(EngineTest, PendingEventsIsExact) {
+  Engine engine;
+  EventHandle periodic = engine.schedule_periodic(from_seconds(1.0), [] {});
+  EventHandle one_shot = engine.schedule_after(from_seconds(3.0), [] {});
+  EXPECT_EQ(engine.pending_events(), 2u);
+  one_shot.cancel();
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_until(from_seconds(2.5));
+  EXPECT_EQ(engine.pending_events(), 1u);  // the chain's next tick only
+  periodic.cancel();
+  EXPECT_EQ(engine.pending_events(), 0u);
+}
+
 }  // namespace
 }  // namespace dcm::sim

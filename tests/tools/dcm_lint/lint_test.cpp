@@ -3,7 +3,7 @@
 // fixtures are linted under virtual paths inside (or outside) each rule's
 // scope, since scoping is part of the contract. Hot-path-scoped rules use
 // fixtures whose offending code sits inside (or is called from) a hot-path
-// seed class — `Server`, `CpuScheduler`, `EventQueue::pop`,
+// seed class — `Server`, `CpuScheduler`, `EventQueue`, `Engine::retime*`,
 // `ClosedLoopGenerator` — and cold
 // variants of the same code that must stay silent.
 //
@@ -192,6 +192,16 @@ TEST(DcmLintTest, RawNewCoversClientRequestPath) {
   const auto diags = lint_fixture("raw_new_client_fire.cc", "src/workload/closed_loop.cc");
   EXPECT_EQ(findings(diags), (Expected{{"no-raw-new-in-hot-path", 13},
                                        {"no-raw-new-in-hot-path", 15}}));
+}
+
+TEST(DcmLintTest, RawNewCoversEveryEventQueueMemberAndRetime) {
+  // Cancel and retime sift the heap per event just as pop does, so every
+  // EventQueue member and Engine::retime* are seeds; Engine::describe is not.
+  const auto diags = lint_fixture("raw_new_queue_fire.cc", "src/sim/queue.cc");
+  EXPECT_EQ(findings(diags), (Expected{{"no-raw-new-in-hot-path", 15},
+                                       {"no-raw-new-in-hot-path", 17},
+                                       {"no-raw-new-in-hot-path", 28},
+                                       {"no-raw-new-in-hot-path", 30}}));
 }
 
 TEST(DcmLintTest, RawNewColdSiteIsClean) {

@@ -447,9 +447,10 @@ const std::vector<std::pair<std::string_view, std::string_view>>& hot_path_seeds
   // entry is a prefix (Engine::run covers run_until / run_for /
   // run_to_completion). Keep DESIGN.md §10 in sync.
   static const std::vector<std::pair<std::string_view, std::string_view>> kSeeds = {
-      {"Engine", "run"},     {"EventQueue", "pop"}, {"Server", "*"},
-      {"CpuScheduler", "*"}, {"Tier", "*"},         {"SlotPool", "*"},
-      {"Vm", "*"},           {"LoadBalancer", "*"}, {"ClosedLoopGenerator", "*"},
+      {"Engine", "run"},     {"Engine", "retime"}, {"EventQueue", "*"},
+      {"Server", "*"},       {"CpuScheduler", "*"}, {"Tier", "*"},
+      {"SlotPool", "*"},     {"Vm", "*"},           {"LoadBalancer", "*"},
+      {"ClosedLoopGenerator", "*"},
   };
   return kSeeds;
 }

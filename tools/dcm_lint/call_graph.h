@@ -7,8 +7,8 @@
 // function definition from the lexed token streams, records which
 // identifiers each body references, and computes the forward closure from
 // the event-dispatch and request-path seed functions (Engine::run*,
-// EventQueue::pop, Server::*, CpuScheduler::*, Tier::*, SlotPool::*, Vm::*,
-// LoadBalancer::*, ClosedLoopGenerator::*). A rule then asks
+// Engine::retime*, EventQueue::*, Server::*, CpuScheduler::*, Tier::*,
+// SlotPool::*, Vm::*, LoadBalancer::*, ClosedLoopGenerator::*). A rule then asks
 // `facts.hot.is_hot(path, line)` instead of matching directories.
 //
 // The analysis is deliberately approximate and over-inclusive:
