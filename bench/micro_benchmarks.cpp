@@ -21,6 +21,8 @@
 #include "scenario/result_writer.h"
 #include "scenario/sweep.h"
 #include "sim/engine.h"
+#include "trace/attribution.h"
+#include "trace/tracer.h"
 
 namespace {
 
@@ -176,6 +178,83 @@ void BM_CpuSchedulerChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(completed));
 }
 BENCHMARK(BM_CpuSchedulerChurn)->Arg(8)->Arg(64)->Arg(256);
+
+/// Records one traced-workload-shaped trace: 25 spans over a three-tier
+/// chain (balancer picks, pool/connection waits, CPU service and run-queue
+/// waits, downstream containers on edges 0 and 1), durations drawn from a
+/// cheap LCG so attribution shares vary trace to trace.
+template <typename Context>
+void record_trace(Context& ctx, uint64_t& lcg) {
+  using dcm::trace::SpanKind;
+  dcm::sim::SimTime t = ctx.started;
+  for (int s = 0; s < 25; ++s) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const dcm::sim::SimTime width = static_cast<dcm::sim::SimTime>((lcg >> 40) % 4'000'000);
+    const int tier = (s / 3) % 3;
+    switch (s % 5) {
+      case 0:
+        ctx.add_span(SpanKind::kLbPick, tier, t, t, 2.0);
+        break;
+      case 1:
+        ctx.add_span(SpanKind::kPoolWait, tier, t, t + width);
+        break;
+      case 2:
+        ctx.add_span(SpanKind::kService, tier, t, t + width, 1e-3);
+        break;
+      case 3:
+        ctx.add_edge_span(SpanKind::kConnWait, tier, tier % 2, t, t + width);
+        break;
+      default:
+        ctx.add_edge_span(SpanKind::kDownstream, tier, tier % 2, t, t + width);
+        break;
+    }
+    t += width / 2;
+  }
+}
+
+void BM_TraceRecordFinalize(benchmark::State& state) {
+  // The per-request tracing cost: sample, record 25 spans, finalize. One
+  // iteration traces 256 requests into a fresh tracer, so the store's
+  // chunk allocations (and its teardown) are part of the cost they amortize
+  // over, exactly as in a run.
+  constexpr int kTraces = 256;
+  uint64_t lcg = 1;
+  for (auto _ : state) {
+    dcm::trace::Tracer tracer(7, dcm::trace::TraceSpec{true, 1.0});
+    for (int i = 0; i < kTraces; ++i) {
+      const dcm::sim::SimTime start = static_cast<dcm::sim::SimTime>(i) * 1'000'000;
+      auto ctx = tracer.maybe_sample(static_cast<uint64_t>(i), 0, start);
+      record_trace(*ctx, lcg);
+      ctx->finalize(start + 50'000'000, true);
+    }
+    benchmark::DoNotOptimize(tracer.sampled());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kTraces);
+}
+BENCHMARK(BM_TraceRecordFinalize);
+
+void BM_LatencyAttributionFold(benchmark::State& state) {
+  // build_report's fold over 4096 finalized 25-span traces: per-trace
+  // (tier, cause) and (tier, edge) sums, then the row tables with their
+  // nearest-rank p50/p95/p99 shares.
+  constexpr int kTraces = 4096;
+  dcm::trace::Tracer tracer(7, dcm::trace::TraceSpec{true, 1.0});
+  uint64_t lcg = 1;
+  for (int i = 0; i < kTraces; ++i) {
+    const dcm::sim::SimTime start = static_cast<dcm::sim::SimTime>(i) * 1'000'000;
+    auto ctx = tracer.maybe_sample(static_cast<uint64_t>(i), 0, start);
+    record_trace(*ctx, lcg);
+    ctx->finalize(start + 50'000'000, true);
+  }
+  for (auto _ : state) {
+    dcm::trace::LatencyAttribution attribution;
+    for (const auto& ctx : tracer.traces()) attribution.add(*ctx);
+    benchmark::DoNotOptimize(attribution.rows());
+    benchmark::DoNotOptimize(attribution.edge_rows());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kTraces);
+}
+BENCHMARK(BM_LatencyAttributionFold);
 
 void BM_BusProduceConsume(benchmark::State& state) {
   dcm::bus::Broker broker;

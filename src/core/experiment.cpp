@@ -153,6 +153,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix(kDbVisitRatio);
   workload::RequestFactory factory = workload::graph_request_factory(catalog, graph);
 
+  // Requests hold their trace contexts by raw pointer into the tracer's
+  // store, so the tracer is built before (and outlives) the generator.
+  std::unique_ptr<trace::Tracer> tracer;
+  if (config.trace.enabled) {
+    tracer = std::make_unique<trace::Tracer>(
+        experiment_stream_seed(config.seed, SeedStream::kTrace), config.trace);
+  }
+
   std::unique_ptr<workload::ClosedLoopGenerator> generator;
   std::unique_ptr<workload::TracePlayer> player;
   switch (config.workload.kind) {
@@ -183,12 +191,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     generator->set_retry_policy(client_retry);
   }
 
-  std::unique_ptr<trace::Tracer> tracer;
-  if (config.trace.enabled) {
-    tracer = std::make_unique<trace::Tracer>(
-        experiment_stream_seed(config.seed, SeedStream::kTrace), config.trace);
-    generator->set_tracer(tracer.get());
-  }
+  if (tracer) generator->set_tracer(tracer.get());
 
   std::unique_ptr<control::ControllerBase> controller;
   if (config.controller.kind != ControllerSpec::Kind::kNone) {

@@ -43,8 +43,9 @@ struct RequestContext {
 
   /// Null unless this request was head-sampled by the run's Tracer. Every
   /// instrumentation hook is gated on this pointer — the untraced hot path
-  /// pays exactly one branch.
-  std::shared_ptr<trace::TraceContext> trace;
+  /// pays exactly one branch. Non-owning: the context lives in the run's
+  /// TraceStore, which outlives every request of the run.
+  trace::TraceContext* trace = nullptr;
 };
 
 using RequestPtr = std::shared_ptr<RequestContext>;

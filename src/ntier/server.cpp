@@ -80,7 +80,7 @@ void Server::process(const RequestPtr& request, DoneFn done) {
 void Server::on_worker_granted(VisitHandle h) {
   VisitState* v = visits_.get(h);
   if (v == nullptr) return;  // crashed while queued
-  if (trace::TraceContext* tr = v->request->trace.get()) {
+  if (trace::TraceContext* tr = v->request->trace) {
     tr->add_span(trace::SpanKind::kPoolWait, depth_, v->arrived, engine_->now());
   }
   v->holds_worker = true;
@@ -96,7 +96,7 @@ void Server::begin_cpu_span(VisitState& visit, double work) {
 }
 
 void Server::end_cpu_span(VisitState& visit) {
-  trace::TraceContext* tr = visit.request->trace.get();
+  trace::TraceContext* tr = visit.request->trace;
   if (tr == nullptr) return;
   const sim::SimTime now = engine_->now();
   const sim::SimTime nominal_end =
@@ -188,7 +188,7 @@ void Server::on_conn_granted(CallHandle ch) {
   const VisitState& v = *visits_.get(c.visit);
   c.awaiting_conn = false;
   c.conn_held = true;
-  if (trace::TraceContext* tr = v.request->trace.get()) {
+  if (trace::TraceContext* tr = v.request->trace) {
     tr->add_edge_span(trace::SpanKind::kConnWait, depth_,
                       edges_[static_cast<size_t>(c.edge)].edge_id, c.conn_requested,
                       engine_->now());
@@ -222,7 +222,7 @@ void Server::on_call_response(CallHandle ch, bool ok) {
   ch = calls_.rekey(ch);
   VisitState* v = live_visit_or_free(ch, *c);
   if (v == nullptr) return;  // server crashed while the call was in flight
-  if (trace::TraceContext* tr = v->request->trace.get()) {
+  if (trace::TraceContext* tr = v->request->trace) {
     tr->add_edge_span(trace::SpanKind::kDownstream, depth_,
                       edges_[static_cast<size_t>(c->edge)].edge_id, c->started, engine_->now());
   }
@@ -236,7 +236,7 @@ void Server::on_call_timeout(CallHandle ch) {
   VisitState* v = live_visit_or_free(ch, *c);
   if (v == nullptr) return;
   ++subrequest_timeouts_;
-  if (trace::TraceContext* tr = v->request->trace.get()) {
+  if (trace::TraceContext* tr = v->request->trace) {
     tr->add_edge_span(trace::SpanKind::kTimeoutWait, depth_,
                       edges_[static_cast<size_t>(c->edge)].edge_id, c->started, engine_->now());
   }
@@ -260,7 +260,7 @@ void Server::on_call_result(CallHandle ch, CallState& c, VisitState& v, bool ok)
             ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
             : 1.0;
     const double delay = std::max(0.0, base * jitter);
-    if (trace::TraceContext* tr = v.request->trace.get()) {
+    if (trace::TraceContext* tr = v.request->trace) {
       tr->add_span(trace::SpanKind::kBackoff, depth_, engine_->now(),
                    engine_->now() + sim::from_seconds(delay));
     }

@@ -82,7 +82,7 @@ void Tier::dispatch(const RequestPtr& request, DoneFn done) {
     done(false);
     return;
   }
-  if (trace::TraceContext* tr = request->trace.get()) {
+  if (trace::TraceContext* tr = request->trace) {
     // Zero-width marker: the pick itself is instantaneous in sim time;
     // `value` records the member count the balancer chose from.
     tr->add_span(trace::SpanKind::kLbPick, depth_, engine_->now(), engine_->now(),

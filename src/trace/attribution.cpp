@@ -7,19 +7,100 @@
 namespace dcm::trace {
 namespace {
 
-// Nearest-rank percentile over an already-sorted sample vector.
-double percentile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const size_t n = sorted.size();
+// Zero-based index of the nearest-rank q-percentile among n samples.
+size_t nearest_rank_index(size_t n, double q) {
   const double rank = q * static_cast<double>(n);
   size_t index = static_cast<size_t>(rank);
   if (static_cast<double>(index) < rank) ++index;  // ceil
   if (index == 0) index = 1;
   if (index > n) index = n;
-  return sorted[index - 1];
+  return index - 1;
+}
+
+struct Percentiles {
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+};
+
+// Nearest-rank p50/p95/p99 of `values` (reordered in place). Each
+// nth_element leaves everything left of its pick no greater than it, so
+// the next, lower rank is selected from that prefix alone: three nested
+// selections return exactly the elements a full sort would index.
+Percentiles nearest_rank_percentiles(std::vector<double>& values) {
+  Percentiles out;
+  const size_t n = values.size();
+  if (n == 0) return out;
+  const size_t i99 = nearest_rank_index(n, 0.99);
+  const size_t i95 = nearest_rank_index(n, 0.95);
+  const size_t i50 = nearest_rank_index(n, 0.50);
+  const auto first = values.begin();
+  std::nth_element(first, first + static_cast<std::ptrdiff_t>(i99), values.end());
+  out.p99 = values[i99];
+  std::nth_element(first, first + static_cast<std::ptrdiff_t>(i95),
+                   first + static_cast<std::ptrdiff_t>(i99));
+  out.p95 = values[i95];
+  std::nth_element(first, first + static_cast<std::ptrdiff_t>(i50),
+                   first + static_cast<std::ptrdiff_t>(i95));
+  out.p50 = values[i50];
+  return out;
 }
 
 }  // namespace
+
+LatencyAttribution::CauseAgg& LatencyAttribution::AggTable::at(int tier, int key) {
+  DCM_CHECK(tier >= kClientTier && key >= 0);
+  const auto row = static_cast<size_t>(tier + 1);
+  const auto column = static_cast<size_t>(key);
+  if (rows_.size() <= row) rows_.resize(row + 1);
+  std::vector<CauseAgg>& cells = rows_[row];
+  if (cells.size() <= column) cells.resize(column + 1);
+  return cells[column];
+}
+
+template <typename Fn>
+void LatencyAttribution::AggTable::for_each(Fn&& fn) const {
+  for (size_t row = 0; row < rows_.size(); ++row) {
+    for (size_t column = 0; column < rows_[row].size(); ++column) {
+      const CauseAgg& agg = rows_[row][column];
+      if (!agg.shares.empty()) fn(static_cast<int>(row) - 1, static_cast<int>(column), agg);
+    }
+  }
+}
+
+template <typename Row>
+void LatencyAttribution::summarize(const CauseAgg& agg, std::vector<double>& scratch, Row& row) {
+  row.traces = static_cast<uint64_t>(agg.shares.size());
+  row.total_seconds = agg.total_seconds;
+  row.mean_seconds = agg.total_seconds / static_cast<double>(agg.shares.size());
+  scratch.assign(agg.shares.begin(), agg.shares.end());
+  const Percentiles p = nearest_rank_percentiles(scratch);
+  row.p50_share = p.p50;
+  row.p95_share = p.p95;
+  row.p99_share = p.p99;
+}
+
+void LatencyAttribution::accumulate(std::vector<KeySum>& sums, int tier, int key,
+                                    double seconds) {
+  for (KeySum& sum : sums) {
+    if (sum.tier == tier && sum.key == key) {
+      sum.seconds += seconds;
+      return;
+    }
+  }
+  sums.push_back(KeySum{tier, key, 0.0});
+  sums.back().seconds += seconds;
+}
+
+void LatencyAttribution::fold(AggTable& table, const std::vector<KeySum>& sums, double total) {
+  // Each key occurs once per trace, so the order keys fold in cannot reach
+  // any aggregate: every aggregate sees its traces in fold order.
+  for (const KeySum& sum : sums) {
+    CauseAgg& agg = table.at(sum.tier, sum.key);
+    agg.shares.push_back(sum.seconds / total);
+    agg.total_seconds += sum.seconds;
+  }
+}
 
 void LatencyAttribution::add(const TraceContext& trace) {
   if (!trace.finalized || !trace.ok) return;
@@ -29,71 +110,45 @@ void LatencyAttribution::add(const TraceContext& trace) {
 
   // Sum this trace's seconds per (tier, leaf cause) first, then fold each
   // cause's share exactly once per trace.
-  std::map<std::pair<int, int>, double> per_cause;
-  std::map<std::pair<int, int>, double> per_edge;
+  trace_causes_.clear();
+  trace_edges_.clear();
   for (const Span& span : trace.spans) {
+    if (span.end <= span.start) continue;  // zero-width: no seconds to own
     const double seconds = sim::to_seconds(span.end - span.start);
-    if (seconds <= 0.0) continue;
     if (is_leaf_cause(span.kind)) {
-      per_cause[{span.tier, static_cast<int>(span.kind)}] += seconds;
+      accumulate(trace_causes_, span.tier, static_cast<int>(span.kind), seconds);
     }
     // The edge waterfall folds kDownstream containers — one per issued
     // call, stamped with the issuing tier and the graph edge id.
     if (span.kind == SpanKind::kDownstream && span.edge != kNoEdge) {
-      per_edge[{span.tier, span.edge}] += seconds;
+      accumulate(trace_edges_, span.tier, span.edge, seconds);
     }
   }
-  for (const auto& [key, seconds] : per_cause) {
-    CauseAgg& agg = causes_[key];
-    agg.shares.push_back(seconds / total);
-    agg.total_seconds += seconds;
-  }
-  for (const auto& [key, seconds] : per_edge) {
-    CauseAgg& agg = edges_[key];
-    agg.shares.push_back(seconds / total);
-    agg.total_seconds += seconds;
-  }
+  fold(causes_, trace_causes_, total);
+  fold(edges_, trace_edges_, total);
 }
 
 std::vector<AttributionRow> LatencyAttribution::rows() const {
   std::vector<AttributionRow> rows;
-  rows.reserve(causes_.size());
-  for (const auto& [key, agg] : causes_) {
-    AttributionRow row;
-    row.tier = key.first;
-    row.cause = static_cast<SpanKind>(key.second);
-    row.traces = static_cast<uint64_t>(agg.shares.size());
-    row.total_seconds = agg.total_seconds;
-    row.mean_seconds =
-        agg.shares.empty() ? 0.0 : agg.total_seconds / static_cast<double>(agg.shares.size());
-    std::vector<double> sorted = agg.shares;
-    std::sort(sorted.begin(), sorted.end());
-    row.p50_share = percentile_sorted(sorted, 0.50);
-    row.p95_share = percentile_sorted(sorted, 0.95);
-    row.p99_share = percentile_sorted(sorted, 0.99);
-    rows.push_back(row);
-  }
+  std::vector<double> scratch;
+  causes_.for_each([&](int tier, int cause, const CauseAgg& agg) {
+    AttributionRow& row = rows.emplace_back();
+    row.tier = tier;
+    row.cause = static_cast<SpanKind>(cause);
+    summarize(agg, scratch, row);
+  });
   return rows;
 }
 
 std::vector<EdgeAttributionRow> LatencyAttribution::edge_rows() const {
   std::vector<EdgeAttributionRow> rows;
-  rows.reserve(edges_.size());
-  for (const auto& [key, agg] : edges_) {
-    EdgeAttributionRow row;
-    row.tier = key.first;
-    row.edge = key.second;
-    row.traces = static_cast<uint64_t>(agg.shares.size());
-    row.total_seconds = agg.total_seconds;
-    row.mean_seconds =
-        agg.shares.empty() ? 0.0 : agg.total_seconds / static_cast<double>(agg.shares.size());
-    std::vector<double> sorted = agg.shares;
-    std::sort(sorted.begin(), sorted.end());
-    row.p50_share = percentile_sorted(sorted, 0.50);
-    row.p95_share = percentile_sorted(sorted, 0.95);
-    row.p99_share = percentile_sorted(sorted, 0.99);
-    rows.push_back(row);
-  }
+  std::vector<double> scratch;
+  edges_.for_each([&](int tier, int edge, const CauseAgg& agg) {
+    EdgeAttributionRow& row = rows.emplace_back();
+    row.tier = tier;
+    row.edge = edge;
+    summarize(agg, scratch, row);
+  });
   return rows;
 }
 
@@ -102,9 +157,13 @@ std::shared_ptr<const TraceReport> build_report(const Tracer& tracer) {
   report->spec = tracer.spec();
   report->sampled = tracer.sampled();
   report->annotations = tracer.annotations();
+  report->store = tracer.store();
+  report->traces.reserve(tracer.sampled());
 
+  // Folded here, in sampling order, rather than as each trace finalizes:
+  // the total_seconds sums depend on the order traces arrive.
   LatencyAttribution attribution;
-  for (const auto& context : tracer.traces()) {
+  for (const TraceContext* context : tracer.traces()) {
     if (!context->finalized) continue;
     ++report->finalized;
     if (context->ok) ++report->completed;

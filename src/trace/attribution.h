@@ -12,11 +12,10 @@
 // leaf causes partition the latency up to scheduling gaps.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
+#include "trace/store.h"
 #include "trace/tracer.h"
 
 namespace dcm::trace {
@@ -70,20 +69,51 @@ class LatencyAttribution {
     double total_seconds = 0.0;
   };
 
+  /// Dense (tier, key) aggregates, grown on demand: row tier + 1 (so
+  /// kClientTier is row 0), column key. Row-major iteration is (tier, key)
+  /// order; a cell no trace reached has no shares and yields no row.
+  class AggTable {
+   public:
+    CauseAgg& at(int tier, int key);
+    template <typename Fn>
+    void for_each(Fn&& fn) const;
+
+   private:
+    std::vector<std::vector<CauseAgg>> rows_;
+  };
+
+  /// One trace's seconds for one (tier, key), summed in span order.
+  struct KeySum {
+    int tier;
+    int key;
+    double seconds;
+  };
+  static void accumulate(std::vector<KeySum>& sums, int tier, int key, double seconds);
+  /// Fills a row's counts, totals and nearest-rank share percentiles;
+  /// `scratch` is reused across rows.
+  template <typename Row>
+  static void summarize(const CauseAgg& agg, std::vector<double>& scratch, Row& row);
+  static void fold(AggTable& table, const std::vector<KeySum>& sums, double total);
+
   uint64_t trace_count_ = 0;
-  std::map<std::pair<int, int>, CauseAgg> causes_;  // (tier, SpanKind)
-  std::map<std::pair<int, int>, CauseAgg> edges_;   // (tier, edge id)
+  AggTable causes_;  // (tier, SpanKind)
+  AggTable edges_;   // (tier, edge id)
+  // Per-trace scratch, reused: its size tracks the spans of one trace.
+  std::vector<KeySum> trace_causes_;
+  std::vector<KeySum> trace_edges_;
 };
 
 /// The exported view of one run's tracing: counts, every finalized trace
 /// (span streams in sampling order), run-level annotations, and the folded
-/// attribution table.
+/// attribution table. Shares ownership of the run's TraceStore, so the
+/// report outlives the Tracer.
 struct TraceReport {
   TraceSpec spec;
   uint64_t sampled = 0;    // contexts handed out
   uint64_t finalized = 0;  // settled before the run ended
   uint64_t completed = 0;  // finalized with ok=true
-  std::vector<std::shared_ptr<const TraceContext>> traces;  // finalized only
+  std::shared_ptr<const TraceStore> store;
+  std::vector<const TraceContext*> traces;  // finalized only, owned by `store`
   std::vector<TraceAnnotation> annotations;
   std::vector<AttributionRow> attribution;
   std::vector<EdgeAttributionRow> edge_attribution;

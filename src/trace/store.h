@@ -1,0 +1,133 @@
+// TraceStore — one run's trace storage, sized to the spans it records.
+//
+// Contexts live in fixed-size chunks with stable addresses, so a request
+// holds its context by raw pointer and the store hands them back in
+// sampling order. An open trace appends to a scratch buffer drawn from a
+// recycled pool; finalize() seals the spans into a chunked span arena and
+// returns the buffer, so a warm run records spans without allocating.
+// Steady state allocates exactly once per chunk opened (context_chunks() +
+// span_chunks()); nothing else grows once the scratch pool covers the
+// run's peak count of open traces.
+//
+// A trace longer than a whole span chunk keeps its scratch buffer as its
+// sealed storage instead (that buffer then leaves the pool).
+#pragma once
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <iterator>
+#include <memory>
+#include <vector>
+
+#include "sim/time.h"
+#include "trace/trace.h"
+
+namespace dcm::trace {
+
+class TraceStore {
+ public:
+  static constexpr size_t kContextsPerChunk = 512;  // 36 KiB
+  static constexpr size_t kSpansPerChunk = 2048;    // 64 KiB
+
+ private:
+  struct ContextChunk {
+    std::array<TraceContext, kContextsPerChunk> items;
+    std::unique_ptr<ContextChunk> next;
+  };
+  struct SpanChunk {
+    // Uninitialized: spans are copied in as traces seal, never zeroed first.
+    union Storage {
+      Storage() {}  // leaves items unconstructed
+      Span items[kSpansPerChunk];
+    } storage;
+    size_t used = 0;
+    std::unique_ptr<SpanChunk> next;
+  };
+
+ public:
+  /// Forward range over every opened context, in sampling order. Elements
+  /// are `TraceContext*` (open and finalized alike).
+  class Contexts {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = TraceContext*;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = TraceContext*;
+
+      iterator() = default;
+      TraceContext* operator*() const { return &chunk_->items[slot_]; }
+      iterator& operator++() {
+        if (++slot_ == kContextsPerChunk) {
+          chunk_ = chunk_->next.get();
+          slot_ = 0;
+        }
+        ++index_;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const iterator& other) const { return index_ == other.index_; }
+
+     private:
+      friend class Contexts;
+      iterator(ContextChunk* chunk, size_t index) : chunk_(chunk), index_(index) {}
+      ContextChunk* chunk_ = nullptr;
+      size_t slot_ = 0;
+      size_t index_ = 0;
+    };
+
+    iterator begin() const { return iterator(head_, 0); }
+    iterator end() const { return iterator(nullptr, size_); }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+   private:
+    friend class TraceStore;
+    Contexts(ContextChunk* head, size_t size) : head_(head), size_(size) {}
+    ContextChunk* head_;
+    size_t size_;
+  };
+
+  TraceStore() = default;
+  ~TraceStore();
+  TraceStore(const TraceStore&) = delete;
+  TraceStore& operator=(const TraceStore&) = delete;
+
+  /// Opens the next context in sampling order; it stays valid for the
+  /// store's lifetime.
+  TraceContext* open(uint64_t request_id, int servlet, sim::SimTime started);
+
+  uint64_t size() const { return count_; }
+  Contexts contexts() const { return Contexts(contexts_head_.get(), count_); }
+
+  uint64_t context_chunks() const { return context_chunks_; }
+  uint64_t span_chunks() const { return span_chunks_; }
+
+ private:
+  friend struct TraceContext;
+
+  /// Moves a finalized context's spans into the arena and recycles its
+  /// scratch buffer.
+  void seal(TraceContext& context);
+
+  uint64_t count_ = 0;
+  std::unique_ptr<ContextChunk> contexts_head_;
+  ContextChunk* contexts_tail_ = nullptr;
+  std::unique_ptr<SpanChunk> spans_head_;
+  SpanChunk* spans_tail_ = nullptr;
+  uint64_t context_chunks_ = 0;
+  uint64_t span_chunks_ = 0;
+
+  std::deque<std::vector<Span>> scratch_;  // stable addresses
+  std::vector<std::vector<Span>*> free_scratch_;
+};
+
+}  // namespace dcm::trace

@@ -5,7 +5,8 @@
 
 namespace dcm::trace {
 
-Tracer::Tracer(uint64_t seed, TraceSpec spec) : seed_(seed), spec_(spec) {
+Tracer::Tracer(uint64_t seed, TraceSpec spec)
+    : seed_(seed), spec_(spec), store_(std::make_shared<TraceStore>()) {
   DCM_CHECK(spec_.rate >= 0.0 && spec_.rate <= 1.0);
 }
 
@@ -20,15 +21,9 @@ bool Tracer::should_sample(uint64_t request_id) const {
   return u < spec_.rate;
 }
 
-std::shared_ptr<TraceContext> Tracer::maybe_sample(uint64_t request_id, int servlet,
-                                                   sim::SimTime now) {
+TraceContext* Tracer::maybe_sample(uint64_t request_id, int servlet, sim::SimTime now) {
   if (!should_sample(request_id)) return nullptr;
-  auto context = std::make_shared<TraceContext>();
-  context->request_id = request_id;
-  context->servlet = servlet;
-  context->started = now;
-  traces_.push_back(context);
-  return context;
+  return store_->open(request_id, servlet, now);
 }
 
 void Tracer::annotate(sim::SimTime at, std::string kind, std::string detail) {

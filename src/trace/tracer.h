@@ -3,10 +3,11 @@
 // The tracer decides at issue time whether a request is sampled (a pure
 // hash of the trace seed and the request id against the configured rate —
 // no Rng stream is consumed, so the simulation's event/draw sequence is
-// bit-identical with tracing on or off, at any rate), hands out the
-// TraceContext the instrumentation hooks append spans to, and records
-// run-level annotations (soft-resource actuations, watchdog transitions,
-// injected faults) that the report later overlays on overlapping traces.
+// bit-identical with tracing on or off, at any rate), opens the
+// TraceContext the instrumentation hooks append spans to in the run's
+// TraceStore, and records run-level annotations (soft-resource actuations,
+// watchdog transitions, injected faults) that the report later overlays on
+// overlapping traces.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "trace/store.h"
 #include "trace/trace.h"
 
 namespace dcm::trace {
@@ -49,22 +51,24 @@ class Tracer {
   /// Pure sampling decision — same (seed, id) always answers the same.
   bool should_sample(uint64_t request_id) const;
 
-  /// Returns a registered TraceContext when the request is sampled, null
-  /// otherwise. The tracer keeps every handed-out context alive.
-  std::shared_ptr<TraceContext> maybe_sample(uint64_t request_id, int servlet,
-                                             sim::SimTime now);
+  /// Returns a context opened in the store when the request is sampled,
+  /// null otherwise. Non-owning: the store keeps every context alive.
+  TraceContext* maybe_sample(uint64_t request_id, int servlet, sim::SimTime now);
 
   /// Records a run-level annotation (observation-only).
   void annotate(sim::SimTime at, std::string kind, std::string detail);
 
-  uint64_t sampled() const { return static_cast<uint64_t>(traces_.size()); }
-  const std::vector<std::shared_ptr<TraceContext>>& traces() const { return traces_; }
+  uint64_t sampled() const { return store_->size(); }
+  /// Every handed-out context (open or finalized), in sampling order.
+  TraceStore::Contexts traces() const { return store_->contexts(); }
+  /// Shared so a report can outlive the tracer.
+  std::shared_ptr<const TraceStore> store() const { return store_; }
   const std::vector<TraceAnnotation>& annotations() const { return annotations_; }
 
  private:
   uint64_t seed_;
   TraceSpec spec_;
-  std::vector<std::shared_ptr<TraceContext>> traces_;
+  std::shared_ptr<TraceStore> store_;
   std::vector<TraceAnnotation> annotations_;
 };
 

@@ -124,7 +124,7 @@ void ClosedLoopGenerator::issue_attempt(int user_index) {
   UserSlot& slot = users_[static_cast<size_t>(user_index)];
   const uint32_t generation = ++slot.generation;
   slot.settled = false;
-  if (trace::TraceContext* tr = slot.request->trace.get()) tr->attempts = slot.attempt + 1;
+  if (trace::TraceContext* tr = slot.request->trace) tr->attempts = slot.attempt + 1;
   app_->submit(slot.request, [this, user_index, generation](bool ok) {
     on_response(user_index, generation, ok);
   });
@@ -150,7 +150,7 @@ void ClosedLoopGenerator::on_response(int user_index, uint32_t generation, bool 
   }
   const sim::SimTime now = engine_->now();
   stats_.record_completion(now, sim::to_seconds(now - slot.first_issued), slot.servlet);
-  if (trace::TraceContext* tr = slot.request->trace.get()) tr->finalize(now, true);
+  if (trace::TraceContext* tr = slot.request->trace) tr->finalize(now, true);
   finish_cycle(user_index);
 }
 
@@ -160,7 +160,7 @@ void ClosedLoopGenerator::on_deadline(int user_index, uint32_t generation) {
   slot.settled = true;
   const sim::SimTime now = engine_->now();
   stats_.record_timeout(now);
-  if (trace::TraceContext* tr = slot.request->trace.get()) {
+  if (trace::TraceContext* tr = slot.request->trace) {
     tr->add_span(trace::SpanKind::kTimeoutWait, trace::kClientTier,
                  now - sim::from_seconds(retry_.timeout_seconds), now);
   }
@@ -169,7 +169,7 @@ void ClosedLoopGenerator::on_deadline(int user_index, uint32_t generation) {
 
 void ClosedLoopGenerator::on_attempt_failed(int user_index) {
   UserSlot& slot = users_[static_cast<size_t>(user_index)];
-  trace::TraceContext* tr = slot.request->trace.get();
+  trace::TraceContext* tr = slot.request->trace;
   if (slot.attempt < retry_.max_retries) {
     stats_.record_retry();
     const double base =

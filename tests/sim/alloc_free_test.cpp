@@ -18,6 +18,8 @@
 #include "ntier/app.h"
 #include "ntier/request.h"
 #include "sim/engine.h"
+#include "trace/store.h"
+#include "trace/tracer.h"
 #include "workload/closed_loop.h"
 
 namespace {
@@ -283,6 +285,52 @@ TEST(AllocationFreeTest, ResilientClosedLoopRoundTripIsAllocationFreeAtSteadySta
   EXPECT_EQ(stats.timeouts(), 0u);
   EXPECT_EQ(stats.retries(), 0u);
   EXPECT_EQ(app.tier(1).subrequest_timeouts(), 0u);
+}
+
+TEST(AllocationFreeTest, TracedClosedLoopRoundTripAllocatesOnlyStoreChunks) {
+  // Every request traced: the context is opened in the tracer's store, the
+  // hooks on all three tiers and the client append spans to a recycled
+  // scratch buffer, and finalize() seals them into the span arena. Once
+  // warm, the only allocations left are the store's own chunks — one per
+  // context or span chunk opened, none per trace or per span.
+  Engine engine;
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
+  struct Plan {
+    ntier::RequestPtr operator()(Arena* arena, uint64_t id, Rng&, SimTime now) const {
+      ntier::RequestPtr request = ntier::make_request_context(arena);
+      request->id = id;
+      request->created = now;
+      request->demand_scale = {1.0, 1.0, 1.0};
+      request->downstream_calls = {1, 2};
+      return request;
+    }
+  };
+  workload::ClosedLoopConfig config;
+  config.users = 1;
+  workload::ClosedLoopGenerator generator(engine, app, Plan{}, std::move(config));
+  trace::Tracer tracer(7, trace::TraceSpec{true, 1.0});
+  generator.set_tracer(&tracer);
+  generator.start();
+
+  // Warm-up as in the resilient round trip: the per-second client series
+  // have regrown for the last time before the window opens.
+  engine.run_until(from_seconds(32.5));
+  ASSERT_GE(generator.stats().completed(), 100u) << "warm-up did not complete";
+  const trace::TraceStore& store = *tracer.store();
+  const uint64_t sampled_before = tracer.sampled();
+  const uint64_t chunks_before = store.context_chunks() + store.span_chunks();
+  const uint64_t before = allocations();
+  engine.run_until(from_seconds(60.0));
+  const uint64_t allocated = allocations() - before;
+  const uint64_t chunks_opened = store.context_chunks() + store.span_chunks() - chunks_before;
+  EXPECT_EQ(allocated, chunks_opened) << "traced round trips allocated outside store chunks";
+
+  EXPECT_GT(tracer.sampled(), sampled_before + 100);
+  EXPECT_EQ(generator.stats().errors(), 0u);
+  uint64_t spans = 0;
+  for (const trace::TraceContext* context : tracer.traces()) spans += context->spans.size();
+  EXPECT_GT(spans, 10 * tracer.sampled());
 }
 
 TEST(AllocationFreeTest, OversizedCapturesHeapBoxButStillWork) {

@@ -4,7 +4,7 @@
 // scope, since scoping is part of the contract. Hot-path-scoped rules use
 // fixtures whose offending code sits inside (or is called from) a hot-path
 // seed class — `Server`, `CpuScheduler`, `EventQueue`, `Engine::retime*`,
-// `ClosedLoopGenerator` — and cold
+// `ClosedLoopGenerator`, `Tracer`, `TraceStore` — and cold
 // variants of the same code that must stay silent.
 //
 // The header-self-sufficiency rule has no token engine: its fixtures are
@@ -200,6 +200,16 @@ TEST(DcmLintTest, RawNewCoversEveryEventQueueMemberAndRetime) {
   const auto diags = lint_fixture("raw_new_queue_fire.cc", "src/sim/queue.cc");
   EXPECT_EQ(findings(diags), (Expected{{"no-raw-new-in-hot-path", 15},
                                        {"no-raw-new-in-hot-path", 17},
+                                       {"no-raw-new-in-hot-path", 28},
+                                       {"no-raw-new-in-hot-path", 30}}));
+}
+
+TEST(DcmLintTest, RawNewCoversTracerAndTraceStore) {
+  // Sampling and sealing run once per traced request: every Tracer and
+  // TraceStore member is a seed. The post-run report fold is not.
+  const auto diags = lint_fixture("raw_new_trace_fire.cc", "src/trace/store.cc");
+  EXPECT_EQ(findings(diags), (Expected{{"no-raw-new-in-hot-path", 16},
+                                       {"no-raw-new-in-hot-path", 18},
                                        {"no-raw-new-in-hot-path", 28},
                                        {"no-raw-new-in-hot-path", 30}}));
 }

@@ -1,11 +1,15 @@
 // Unit tests for the tracing primitives: deterministic head sampling,
-// TraceContext finalize semantics, and the latency-attribution fold.
+// TraceContext finalize semantics, the TraceStore's chunked storage, and
+// the latency-attribution fold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "sim/time.h"
 #include "trace/attribution.h"
+#include "trace/store.h"
 #include "trace/trace.h"
 #include "trace/tracer.h"
 
@@ -66,14 +70,14 @@ TEST(TracerTest, DifferentSeedsPickDifferentRequests) {
 
 TEST(TracerTest, MaybeSampleRegistersAndKeepsContextsAlive) {
   Tracer tracer(42, TraceSpec{true, 1.0});
-  auto ctx = tracer.maybe_sample(17, /*servlet=*/3, from_seconds(1.0));
+  TraceContext* ctx = tracer.maybe_sample(17, /*servlet=*/3, from_seconds(1.0));
   ASSERT_NE(ctx, nullptr);
   EXPECT_EQ(ctx->request_id, 17u);
   EXPECT_EQ(ctx->servlet, 3);
   EXPECT_EQ(ctx->started, from_seconds(1.0));
   EXPECT_EQ(tracer.sampled(), 1u);
   ASSERT_EQ(tracer.traces().size(), 1u);
-  EXPECT_EQ(tracer.traces()[0].get(), ctx.get());
+  EXPECT_EQ(*tracer.traces().begin(), ctx);
 }
 
 TEST(TracerTest, AnnotationsRecordInOrder) {
@@ -86,7 +90,8 @@ TEST(TracerTest, AnnotationsRecordInOrder) {
 }
 
 TEST(TraceContextTest, FinalizeStopsSpanRecording) {
-  TraceContext ctx;
+  TraceStore store;
+  TraceContext& ctx = *store.open(1, 0, 0);
   ctx.add_span(SpanKind::kPoolWait, 1, from_seconds(1.0), from_seconds(2.0));
   EXPECT_EQ(ctx.spans.size(), 1u);
   ctx.finalize(from_seconds(3.0), /*success=*/true);
@@ -99,11 +104,142 @@ TEST(TraceContextTest, FinalizeStopsSpanRecording) {
 }
 
 TEST(TraceContextTest, FinalizeIsIdempotent) {
-  TraceContext ctx;
+  TraceStore store;
+  TraceContext& ctx = *store.open(1, 0, 0);
+  ctx.add_span(SpanKind::kService, 0, 0, from_seconds(1.0));
   ctx.finalize(from_seconds(2.0), true);
   ctx.finalize(from_seconds(9.0), false);  // must not overwrite
   EXPECT_EQ(ctx.finished, from_seconds(2.0));
   EXPECT_TRUE(ctx.ok);
+  EXPECT_EQ(ctx.spans.size(), 1u);  // sealed once
+}
+
+TEST(TraceContextTest, ContextOutsideAStoreRecordsNothing) {
+  TraceContext ctx;
+  ctx.add_span(SpanKind::kService, 0, 0, from_seconds(1.0));
+  EXPECT_TRUE(ctx.spans.empty());
+  ctx.finalize(from_seconds(1.0), true);
+  EXPECT_TRUE(ctx.finalized);
+}
+
+TEST(TraceContextTest, SpanPacksIntoThirtyTwoBytesAndKeepsItsFields) {
+  static_assert(sizeof(Span) == 32);
+  TraceStore store;
+  TraceContext& ctx = *store.open(1, 0, 0);
+  ctx.add_edge_span(SpanKind::kDownstream, 7, 15, from_seconds(1.0), from_seconds(2.5), 0.25);
+  ctx.add_span(SpanKind::kBackoff, kClientTier, from_seconds(3.0), from_seconds(4.0));
+  ctx.finalize(from_seconds(4.0), true);
+  ASSERT_EQ(ctx.spans.size(), 2u);
+  EXPECT_EQ(ctx.spans[0].kind, SpanKind::kDownstream);
+  EXPECT_EQ(ctx.spans[0].tier, 7);
+  EXPECT_EQ(ctx.spans[0].edge, 15);
+  EXPECT_EQ(ctx.spans[0].start, from_seconds(1.0));
+  EXPECT_EQ(ctx.spans[0].end, from_seconds(2.5));
+  EXPECT_EQ(ctx.spans[0].value, 0.25);
+  EXPECT_EQ(ctx.spans[1].tier, kClientTier);
+  EXPECT_EQ(ctx.spans[1].edge, kNoEdge);
+}
+
+TEST(TraceStoreTest, LateSpanAfterFinalizeLeavesTheRecycledScratchAlone) {
+  TraceStore store;
+  TraceContext& first = *store.open(1, 0, 0);
+  first.add_span(SpanKind::kPoolWait, 0, 0, from_seconds(1.0));
+  first.finalize(from_seconds(2.0), true);
+  // The next trace draws the scratch buffer `first` just returned.
+  TraceContext& second = *store.open(2, 0, from_seconds(2.0));
+  second.add_span(SpanKind::kService, 1, from_seconds(2.0), from_seconds(3.0));
+
+  first.add_span(SpanKind::kCpuWait, 0, from_seconds(2.0), from_seconds(5.0));  // late
+  ASSERT_EQ(first.spans.size(), 1u);
+  EXPECT_EQ(first.spans[0].kind, SpanKind::kPoolWait);
+  ASSERT_EQ(second.spans.size(), 1u);
+  EXPECT_EQ(second.spans[0].kind, SpanKind::kService);
+  second.finalize(from_seconds(3.0), true);
+  ASSERT_EQ(second.spans.size(), 1u);
+  EXPECT_EQ(second.spans[0].kind, SpanKind::kService);
+  EXPECT_EQ(first.spans[0].kind, SpanKind::kPoolWait);  // sealed copy untouched
+}
+
+TEST(TraceStoreTest, ContextsKeepStableAddressesAndSamplingOrderAcrossChunks) {
+  TraceStore store;
+  const size_t n = 2 * TraceStore::kContextsPerChunk + 3;
+  std::vector<TraceContext*> opened;
+  for (size_t i = 0; i < n; ++i) {
+    TraceContext* ctx = store.open(100 + i, static_cast<int>(i % 5), 0);
+    ctx->add_span(SpanKind::kService, 0, 0, from_seconds(1.0), static_cast<double>(i));
+    // Interleave: finalize every other trace right away, leave the rest open.
+    if (i % 2 == 0) ctx->finalize(from_seconds(1.0), true);
+    opened.push_back(ctx);
+  }
+  EXPECT_EQ(store.size(), n);
+  EXPECT_EQ(store.context_chunks(), 3u);
+  size_t i = 0;
+  for (TraceContext* ctx : store.contexts()) {
+    ASSERT_LT(i, n);
+    EXPECT_EQ(ctx, opened[i]);
+    EXPECT_EQ(ctx->request_id, 100 + i);
+    EXPECT_EQ(ctx->finalized, i % 2 == 0);
+    ASSERT_EQ(ctx->spans.size(), 1u);  // open traces view their scratch
+    EXPECT_EQ(ctx->spans[0].value, static_cast<double>(i));
+    ++i;
+  }
+  EXPECT_EQ(i, n);
+}
+
+TEST(TraceStoreTest, SealedSpansFillChunksWithoutSplittingATrace) {
+  TraceStore store;
+  EXPECT_EQ(store.span_chunks(), 0u);
+  // Three traces of 40 % of a chunk each: the third does not fit beside the
+  // first two, so it opens a second chunk rather than straddling.
+  const size_t per_trace = TraceStore::kSpansPerChunk * 2 / 5;
+  std::vector<TraceContext*> traces;
+  for (uint64_t id = 0; id < 3; ++id) {
+    TraceContext* ctx = store.open(id, 0, 0);
+    for (size_t s = 0; s < per_trace; ++s) {
+      ctx->add_span(SpanKind::kService, 0, static_cast<sim::SimTime>(s),
+                    static_cast<sim::SimTime>(s + 1), static_cast<double>(id));
+    }
+    ctx->finalize(from_seconds(1.0), true);
+    traces.push_back(ctx);
+    EXPECT_EQ(store.span_chunks(), id < 2 ? 1u : 2u);
+  }
+  for (uint64_t id = 0; id < 3; ++id) {
+    const auto& spans = traces[id]->spans;
+    ASSERT_EQ(spans.size(), per_trace);
+    for (size_t s = 0; s < per_trace; ++s) {
+      EXPECT_EQ(spans[s].start, static_cast<sim::SimTime>(s));
+      EXPECT_EQ(spans[s].value, static_cast<double>(id));
+    }
+  }
+  EXPECT_EQ(traces[1]->spans.data(), traces[0]->spans.data() + per_trace);
+  // A trace with no spans seals nothing.
+  TraceContext* empty = store.open(9, 0, 0);
+  empty->finalize(from_seconds(1.0), false);
+  EXPECT_TRUE(empty->spans.empty());
+  EXPECT_EQ(store.span_chunks(), 2u);
+}
+
+TEST(TraceStoreTest, TraceLongerThanAChunkKeepsItsScratchAsStorage) {
+  TraceStore store;
+  const size_t n = TraceStore::kSpansPerChunk + 10;
+  TraceContext* big = store.open(1, 0, 0);
+  for (size_t s = 0; s < n; ++s) {
+    big->add_span(SpanKind::kService, 0, static_cast<sim::SimTime>(s),
+                  static_cast<sim::SimTime>(s + 1));
+  }
+  big->finalize(from_seconds(1.0), true);
+  EXPECT_EQ(store.span_chunks(), 0u);
+  // The next trace gets a fresh buffer: the retired one must stay intact.
+  TraceContext* next = store.open(2, 0, 0);
+  next->add_span(SpanKind::kPoolWait, 0, 0, 1);
+  next->finalize(from_seconds(1.0), true);
+  ASSERT_EQ(big->spans.size(), n);
+  for (size_t s = 0; s < n; ++s) {
+    ASSERT_EQ(big->spans[s].start, static_cast<sim::SimTime>(s));
+    ASSERT_EQ(big->spans[s].kind, SpanKind::kService);
+  }
+  ASSERT_EQ(next->spans.size(), 1u);
+  EXPECT_EQ(next->spans[0].kind, SpanKind::kPoolWait);
 }
 
 TEST(SpanKindTest, NamesAreStable) {
@@ -133,8 +269,8 @@ TEST(SpanKindTest, LeafCausesExcludeContainersAndMarkers) {
 // One trace: 1 s total, 0.6 s app-tier pool wait, 0.4 s app-tier service.
 // kDownstream / kLbPick / kThink spans must not contribute rows.
 TEST(AttributionTest, FoldsLeafCausesIntoShares) {
-  TraceContext ctx;
-  ctx.started = from_seconds(10.0);
+  TraceStore store;
+  TraceContext& ctx = *store.open(1, 0, from_seconds(10.0));
   ctx.add_span(SpanKind::kThink, kClientTier, from_seconds(8.0), from_seconds(10.0));
   ctx.add_span(SpanKind::kLbPick, 0, from_seconds(10.0), from_seconds(10.0), 2.0);
   ctx.add_span(SpanKind::kDownstream, 0, from_seconds(10.0), from_seconds(11.0));
@@ -162,14 +298,13 @@ TEST(AttributionTest, FoldsLeafCausesIntoShares) {
 
 TEST(AttributionTest, IgnoresUnfinalizedAndFailedTraces) {
   LatencyAttribution attribution;
+  TraceStore store;
 
-  TraceContext open;  // never settled
-  open.started = 0;
+  TraceContext& open = *store.open(1, 0, 0);  // never settled
   open.add_span(SpanKind::kService, 0, 0, from_seconds(1.0));
   attribution.add(open);
 
-  TraceContext failed;
-  failed.started = 0;
+  TraceContext& failed = *store.open(2, 0, 0);
   failed.add_span(SpanKind::kService, 0, 0, from_seconds(1.0));
   failed.finalize(from_seconds(1.0), /*success=*/false);
   attribution.add(failed);
@@ -180,11 +315,11 @@ TEST(AttributionTest, IgnoresUnfinalizedAndFailedTraces) {
 
 TEST(AttributionTest, NearestRankTailPicksTheWorstTrace) {
   LatencyAttribution attribution;
+  TraceStore store;
   // 9 traces with a 10% pool-wait share, one with a 90% share.
   for (int i = 0; i < 10; ++i) {
     const double wait = (i == 9) ? 0.9 : 0.1;
-    TraceContext ctx;
-    ctx.started = 0;
+    TraceContext& ctx = *store.open(static_cast<uint64_t>(i), 0, 0);
     ctx.add_span(SpanKind::kPoolWait, 0, 0, from_seconds(wait));
     ctx.add_span(SpanKind::kService, 0, from_seconds(wait), from_seconds(1.0));
     ctx.finalize(from_seconds(1.0), true);
@@ -197,9 +332,87 @@ TEST(AttributionTest, NearestRankTailPicksTheWorstTrace) {
   EXPECT_NEAR(rows[0].p99_share, 0.9, 1e-9);
 }
 
+// Nearest-rank index into an ascending sort: the reference the nested
+// selection must reproduce exactly.
+double sorted_nearest_rank(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double rank = q * static_cast<double>(values.size());
+  size_t index = static_cast<size_t>(rank);
+  if (static_cast<double>(index) < rank) ++index;
+  index = std::clamp<size_t>(index, 1, values.size());
+  return values[index - 1];
+}
+
+TEST(AttributionTest, PercentilesEqualAFullSortAtEverySampleCount) {
+  // Shares with many ties and a scrambled arrival order, at sample counts
+  // that put the three ranks on, beside and between each other.
+  for (const size_t n : {1u, 2u, 3u, 19u, 20u, 21u, 99u, 100u, 101u, 257u}) {
+    LatencyAttribution attribution;
+    TraceStore store;
+    std::vector<double> pool_shares;
+    std::vector<double> edge_shares;
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t wait_ms = static_cast<int64_t>((i * 37 + 11) % 23) + 1;
+      const int64_t call_ms = static_cast<int64_t>((i * 53 + 5) % 31) + 1;
+      TraceContext& ctx = *store.open(i, 0, 0);
+      ctx.add_span(SpanKind::kPoolWait, 0, 0, from_seconds(wait_ms / 1000.0));
+      ctx.add_edge_span(SpanKind::kDownstream, 0, 2, 0, from_seconds(call_ms / 1000.0));
+      ctx.finalize(from_seconds(0.1), true);
+      attribution.add(ctx);
+      pool_shares.push_back(sim::to_seconds(from_seconds(wait_ms / 1000.0)) /
+                            sim::to_seconds(from_seconds(0.1)));
+      edge_shares.push_back(sim::to_seconds(from_seconds(call_ms / 1000.0)) /
+                            sim::to_seconds(from_seconds(0.1)));
+    }
+    const auto rows = attribution.rows();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].p50_share, sorted_nearest_rank(pool_shares, 0.50)) << n;
+    EXPECT_EQ(rows[0].p95_share, sorted_nearest_rank(pool_shares, 0.95)) << n;
+    EXPECT_EQ(rows[0].p99_share, sorted_nearest_rank(pool_shares, 0.99)) << n;
+    const auto edges = attribution.edge_rows();
+    ASSERT_EQ(edges.size(), 1u);
+    EXPECT_EQ(edges[0].edge, 2);
+    EXPECT_EQ(edges[0].p50_share, sorted_nearest_rank(edge_shares, 0.50)) << n;
+    EXPECT_EQ(edges[0].p95_share, sorted_nearest_rank(edge_shares, 0.95)) << n;
+    EXPECT_EQ(edges[0].p99_share, sorted_nearest_rank(edge_shares, 0.99)) << n;
+  }
+}
+
+TEST(AttributionTest, RowsFollowTierThenKeyOrderWhateverTheSpanOrder) {
+  // Keys first seen in reverse order still come out in (tier, key) order,
+  // client tier first; a key repeated within one trace sums before it folds.
+  LatencyAttribution attribution;
+  TraceStore store;
+  TraceContext& ctx = *store.open(1, 0, 0);
+  ctx.add_span(SpanKind::kService, 2, 0, from_seconds(0.1));
+  ctx.add_edge_span(SpanKind::kDownstream, 1, 3, 0, from_seconds(0.2));
+  ctx.add_span(SpanKind::kPoolWait, 2, 0, from_seconds(0.1));
+  ctx.add_edge_span(SpanKind::kDownstream, 0, 0, 0, from_seconds(0.4));
+  ctx.add_span(SpanKind::kService, 2, 0, from_seconds(0.1));
+  ctx.add_span(SpanKind::kBackoff, kClientTier, 0, from_seconds(0.2));
+  ctx.finalize(from_seconds(1.0), true);
+  attribution.add(ctx);
+
+  const auto rows = attribution.rows();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].tier, kClientTier);
+  EXPECT_EQ(rows[0].cause, SpanKind::kBackoff);
+  EXPECT_EQ(rows[1].tier, 2);
+  EXPECT_EQ(rows[1].cause, SpanKind::kPoolWait);
+  EXPECT_EQ(rows[2].cause, SpanKind::kService);
+  EXPECT_EQ(rows[2].traces, 1u);
+  EXPECT_NEAR(rows[2].total_seconds, 0.2, 1e-12);
+  const auto edges = attribution.edge_rows();
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_EQ(edges[0].tier, 0);
+  EXPECT_EQ(edges[0].edge, 0);
+  EXPECT_EQ(edges[1].tier, 1);
+  EXPECT_EQ(edges[1].edge, 3);
+}
+
 TEST(AttributionTest, ReportOverlaysAnnotationsOntoTraces) {
   Tracer tracer(3, TraceSpec{true, 1.0});
-  auto ctx = tracer.maybe_sample(1, 0, from_seconds(10.0));
+  TraceContext* ctx = tracer.maybe_sample(1, 0, from_seconds(10.0));
   ASSERT_NE(ctx, nullptr);
   ctx->add_span(SpanKind::kService, 0, from_seconds(10.0), from_seconds(12.0));
   ctx->finalize(from_seconds(12.0), true);
@@ -221,9 +434,9 @@ TEST(AttributionTest, ReportOverlaysAnnotationsOntoTraces) {
 
 TEST(AttributionTest, ReportCountsUnfinishedTracesAsSampledOnly) {
   Tracer tracer(3, TraceSpec{true, 1.0});
-  auto done = tracer.maybe_sample(1, 0, 0);
+  auto* done = tracer.maybe_sample(1, 0, 0);
   done->finalize(from_seconds(1.0), true);
-  auto failed = tracer.maybe_sample(2, 0, 0);
+  auto* failed = tracer.maybe_sample(2, 0, 0);
   failed->finalize(from_seconds(1.0), false);
   tracer.maybe_sample(3, 0, 0);  // still in flight when the run ends
 
@@ -232,6 +445,21 @@ TEST(AttributionTest, ReportCountsUnfinishedTracesAsSampledOnly) {
   EXPECT_EQ(report->finalized, 2u);
   EXPECT_EQ(report->completed, 1u);
   EXPECT_EQ(report->traces.size(), 2u);  // finalized only
+}
+
+TEST(AttributionTest, ReportOutlivesItsTracer) {
+  std::shared_ptr<const TraceReport> report;
+  {
+    Tracer tracer(3, TraceSpec{true, 1.0});
+    TraceContext* ctx = tracer.maybe_sample(1, 0, 0);
+    ctx->add_span(SpanKind::kService, 0, 0, from_seconds(1.0), 0.5);
+    ctx->finalize(from_seconds(1.0), true);
+    report = build_report(tracer);
+  }
+  ASSERT_EQ(report->traces.size(), 1u);
+  ASSERT_EQ(report->traces[0]->spans.size(), 1u);
+  EXPECT_EQ(report->traces[0]->spans[0].value, 0.5);
+  EXPECT_EQ(report->store->size(), 1u);
 }
 
 }  // namespace

@@ -442,15 +442,16 @@ bool HotPathIndex::is_hot(std::string_view path, int line) const {
 }
 
 const std::vector<std::pair<std::string_view, std::string_view>>& hot_path_seeds() {
-  // The event-dispatch loop, the tier/server request path and the client
-  // request path that drives it. A "*" method matches every member; a non-*
+  // The event-dispatch loop, the tier/server request path, the client
+  // request path that drives it, and the tracer that samples and stores
+  // every traced request. A "*" method matches every member; a non-*
   // entry is a prefix (Engine::run covers run_until / run_for /
   // run_to_completion). Keep DESIGN.md §10 in sync.
   static const std::vector<std::pair<std::string_view, std::string_view>> kSeeds = {
       {"Engine", "run"},     {"Engine", "retime"}, {"EventQueue", "*"},
       {"Server", "*"},       {"CpuScheduler", "*"}, {"Tier", "*"},
       {"SlotPool", "*"},     {"Vm", "*"},           {"LoadBalancer", "*"},
-      {"ClosedLoopGenerator", "*"},
+      {"ClosedLoopGenerator", "*"}, {"Tracer", "*"}, {"TraceStore", "*"},
   };
   return kSeeds;
 }

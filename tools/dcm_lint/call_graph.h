@@ -8,7 +8,8 @@
 // identifiers each body references, and computes the forward closure from
 // the event-dispatch and request-path seed functions (Engine::run*,
 // Engine::retime*, EventQueue::*, Server::*, CpuScheduler::*, Tier::*,
-// SlotPool::*, Vm::*, LoadBalancer::*, ClosedLoopGenerator::*). A rule then asks
+// SlotPool::*, Vm::*, LoadBalancer::*, ClosedLoopGenerator::*, Tracer::*,
+// TraceStore::*). A rule then asks
 // `facts.hot.is_hot(path, line)` instead of matching directories.
 //
 // The analysis is deliberately approximate and over-inclusive:
