@@ -271,27 +271,29 @@ void BM_BusProduceConsume(benchmark::State& state) {
 }
 BENCHMARK(BM_BusProduceConsume);
 
-void BM_MetricSampleSerializeParse(benchmark::State& state) {
+// One monitor sample's telemetry round trip: quantise the four rates as
+// MonitorAgent::collect() does, encode, decode.
+void BM_MetricSampleEncodeDecode(benchmark::State& state) {
   dcm::ntier::MetricSample sample;
   sample.time = 123456789;
-  sample.server_id = "tomcat-vm1";
-  sample.tier = "tomcat";
   sample.depth = 1;
-  sample.vm_state = "ACTIVE";
-  sample.throughput = 87.5;
-  sample.avg_response_time = 0.042;
-  sample.concurrency = 19.7;
-  sample.cpu_util = 0.93;
+  sample.vm = 1;
+  sample.vm_state = dcm::ntier::VmState::kActive;
   sample.thread_pool_size = 20;
   sample.conn_pool_size = 18;
   sample.queue_length = 3;
+  double rates[4] = {87.5, 0.042, 19.7, 0.93};
   for (auto _ : state) {
-    const std::string payload = sample.serialize();
-    benchmark::DoNotOptimize(dcm::ntier::MetricSample::parse(payload));
+    benchmark::DoNotOptimize(rates);
+    sample.throughput = dcm::ntier::quantize_decimal(rates[0], 6);
+    sample.avg_response_time = dcm::ntier::quantize_decimal(rates[1], 6);
+    sample.concurrency = dcm::ntier::quantize_decimal(rates[2], 4);
+    sample.cpu_util = dcm::ntier::quantize_decimal(rates[3], 4);
+    benchmark::DoNotOptimize(dcm::ntier::decode(dcm::ntier::encode(sample)));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_MetricSampleSerializeParse);
+BENCHMARK(BM_MetricSampleEncodeDecode);
 
 void BM_P2Quantile(benchmark::State& state) {
   dcm::metrics::P2Quantile q(0.95);

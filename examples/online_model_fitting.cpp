@@ -41,11 +41,12 @@ int main() {
   // Poll the bus every 15 s, as the controller does, printing fit progress.
   engine.schedule_periodic(sim::from_seconds(15.0), [&] {
     for (const auto& record : consumer.poll(4096)) {
-      const auto sample = ntier::MetricSample::parse(record.value);
-      if (!sample || sample->vm_state != "ACTIVE") continue;
-      if (sample->tier == "tomcat") {
+      const auto sample = ntier::decode(record.value());
+      if (!sample || sample->vm_state != ntier::VmState::kActive) continue;
+      const std::string& tier = app.tier(static_cast<size_t>(sample->depth)).name();
+      if (tier == "tomcat") {
         tomcat_estimator.observe(sample->concurrency, sample->throughput);
-      } else if (sample->tier == "mysql") {
+      } else if (tier == "mysql") {
         mysql_estimator.observe(sample->concurrency, sample->throughput);
       }
     }

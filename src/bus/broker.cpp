@@ -1,27 +1,30 @@
 #include "bus/broker.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.h"
 
 namespace dcm::bus {
 
-int64_t Partition::append(Record record) {
-  record.offset = end_offset();
-  log_.push_back(std::move(record));
-  return log_.back().offset;
+int64_t Partition::append(sim::SimTime timestamp, std::span<const std::byte> value) {
+  DCM_CHECK_MSG(value.size() <= Record::kMaxValueBytes, "record payload too large");
+  const int64_t offset = end_offset();
+  Record& record = log_.emplace_back();
+  record.offset = offset;
+  record.timestamp = timestamp;
+  record.size = static_cast<uint32_t>(value.size());
+  if (!value.empty()) std::memcpy(record.bytes, value.data(), value.size());
+  return offset;
 }
 
-std::vector<Record> Partition::fetch(int64_t from, size_t max_records) const {
-  std::vector<Record> out;
+std::span<const Record> Partition::fetch(int64_t from, size_t max_records) const {
   const int64_t start = std::max(from, base_offset_);
   const int64_t end = end_offset();
-  if (start >= end) return out;
+  if (start >= end) return {};
   const auto first = static_cast<size_t>(start - base_offset_);
   const size_t n = std::min(max_records, static_cast<size_t>(end - start));
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) out.push_back(log_[first + i]);
-  return out;
+  return std::span<const Record>(log_).subspan(first, n);
 }
 
 void Partition::expire_before(sim::SimTime horizon) {
@@ -41,7 +44,7 @@ void Topic::set_drop_until(sim::SimTime until) {
   if (until > drop_until_) drop_until_ = until;
 }
 
-int Topic::partition_for_key(const std::string& key) const {
+int Topic::partition_for_key(std::string_view key) const {
   uint64_t h = 1469598103934665603ull;  // FNV-1a
   for (char c : key) {
     h ^= static_cast<unsigned char>(c);

@@ -5,7 +5,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bus/record.h"
@@ -17,12 +19,13 @@ namespace dcm::bus {
 /// the head, in which case base_offset() moves forward.
 class Partition {
  public:
-  /// Appends and returns the assigned offset.
-  int64_t append(Record record);
+  /// Appends a record carrying `value` (at most Record::kMaxValueBytes) and
+  /// returns the assigned offset.
+  int64_t append(sim::SimTime timestamp, std::span<const std::byte> value);
 
-  /// Copies up to `max_records` records with offset >= from (clamped to the
-  /// retained range).
-  std::vector<Record> fetch(int64_t from, size_t max_records) const;
+  /// Up to `max_records` records with offset >= from (clamped to the
+  /// retained range). The view stays valid until the next append or expiry.
+  std::span<const Record> fetch(int64_t from, size_t max_records) const;
 
   int64_t base_offset() const { return base_offset_; }
   /// Offset the next append will get.
@@ -51,7 +54,7 @@ class Topic {
   const std::string& name() const { return name_; }
   int partition_count() const { return static_cast<int>(partitions_.size()); }
   /// Stable key → partition mapping (FNV-1a hash).
-  int partition_for_key(const std::string& key) const;
+  int partition_for_key(std::string_view key) const;
 
   Partition& partition(int index);
   const Partition& partition(int index) const;

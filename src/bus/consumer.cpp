@@ -11,37 +11,48 @@ Consumer::Consumer(Broker& broker, std::string group, std::string topic)
 
 Consumer::Consumer(Broker& broker, std::string group, std::string topic, int member_index,
                    int member_count)
-    : broker_(&broker), group_(std::move(group)), topic_name_(std::move(topic)) {
+    : broker_(&broker),
+      group_(std::move(group)),
+      topic_name_(std::move(topic)),
+      topic_(broker_->find_topic(topic_name_)) {
   DCM_CHECK(member_count >= 1);
   DCM_CHECK(member_index >= 0 && member_index < member_count);
-  Topic* t = broker_->find_topic(topic_name_);
-  DCM_CHECK_MSG(t != nullptr, "consumer on unknown topic");
-  for (int p = 0; p < t->partition_count(); ++p) {
+  DCM_CHECK_MSG(topic_ != nullptr, "consumer on unknown topic");
+  for (int p = 0; p < topic_->partition_count(); ++p) {
     if (p % member_count != member_index) continue;
     const auto committed = broker_->committed_offset(group_, topic_name_, p);
-    positions_[p] = committed.value_or(t->partition(p).base_offset());
+    positions_.emplace_back(p, committed.value_or(topic_->partition(p).base_offset()));
   }
 }
 
-std::vector<Record> Consumer::poll(size_t max_records) {
-  Topic* t = broker_->find_topic(topic_name_);
-  DCM_CHECK(t != nullptr);
-  std::vector<Record> out;
+std::span<const Record> Consumer::poll(size_t max_records) {
+  batch_.clear();
   for (auto& [p, pos] : positions_) {
-    if (out.size() >= max_records) break;
-    Partition& part = t->partition(p);
+    if (batch_.size() >= max_records) break;
+    const Partition& part = topic_->partition(p);
     // Retention may have trimmed past our position.
     pos = std::max(pos, part.base_offset());
-    auto batch = part.fetch(pos, max_records - out.size());
-    if (!batch.empty()) {
-      pos = batch.back().offset + 1;
-      for (auto& r : batch) out.push_back(std::move(r));
+    const auto fetched = part.fetch(pos, max_records - batch_.size());
+    if (!fetched.empty()) {
+      pos = fetched.back().offset + 1;
+      batch_.insert(batch_.end(), fetched.begin(), fetched.end());
     }
   }
   // Deliver in event-time order so the controller sees one merged stream.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Record& a, const Record& b) { return a.timestamp < b.timestamp; });
-  return out;
+  // Sorting on (timestamp, fetch index) is the stable sort by timestamp,
+  // without the temporary buffer std::stable_sort allocates.
+  const auto by_time = [](const Record& a, const Record& b) { return a.timestamp < b.timestamp; };
+  if (!std::is_sorted(batch_.begin(), batch_.end(), by_time)) {
+    unsorted_.swap(batch_);
+    order_.clear();
+    for (size_t i = 0; i < unsorted_.size(); ++i) {
+      order_.emplace_back(unsorted_[i].timestamp, static_cast<uint32_t>(i));
+    }
+    std::sort(order_.begin(), order_.end());
+    batch_.clear();
+    for (const auto& [timestamp, index] : order_) batch_.push_back(unsorted_[index]);
+  }
+  return batch_;
 }
 
 void Consumer::commit() {
@@ -51,23 +62,17 @@ void Consumer::commit() {
 }
 
 void Consumer::seek_to_end() {
-  Topic* t = broker_->find_topic(topic_name_);
-  DCM_CHECK(t != nullptr);
-  for (auto& [p, pos] : positions_) pos = t->partition(p).end_offset();
+  for (auto& [p, pos] : positions_) pos = topic_->partition(p).end_offset();
 }
 
 void Consumer::seek_to_beginning() {
-  Topic* t = broker_->find_topic(topic_name_);
-  DCM_CHECK(t != nullptr);
-  for (auto& [p, pos] : positions_) pos = t->partition(p).base_offset();
+  for (auto& [p, pos] : positions_) pos = topic_->partition(p).base_offset();
 }
 
 int64_t Consumer::lag() const {
-  Topic* t = broker_->find_topic(topic_name_);
-  DCM_CHECK(t != nullptr);
   int64_t total = 0;
   for (const auto& [p, pos] : positions_) {
-    total += std::max<int64_t>(0, t->partition(p).end_offset() - pos);
+    total += std::max<int64_t>(0, topic_->partition(p).end_offset() - pos);
   }
   return total;
 }

@@ -6,8 +6,10 @@
 // no commit yet.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bus/broker.h"
@@ -26,9 +28,12 @@ class Consumer {
   Consumer(Broker& broker, std::string group, std::string topic, int member_index,
            int member_count);
 
-  /// Fetches up to `max_records` across partitions (round-robin), advancing
-  /// the in-memory position. Does not commit.
-  std::vector<Record> poll(size_t max_records = 256);
+  /// Fetches up to `max_records` across partitions (in partition order),
+  /// advancing the in-memory position, and returns them merged in timestamp
+  /// order (stable: ties keep partition, then offset, order). Does not
+  /// commit. The view is into a buffer the consumer reuses: it stays valid
+  /// until the next poll.
+  std::span<const Record> poll(size_t max_records = 256);
 
   /// Persists current positions to the broker for this group.
   void commit();
@@ -45,7 +50,12 @@ class Consumer {
   Broker* broker_;
   std::string group_;
   std::string topic_name_;
-  std::map<int, int64_t> positions_;  // partition -> next offset
+  Topic* topic_;  // owned by the broker, which never deletes topics
+  std::vector<std::pair<int, int64_t>> positions_;  // (partition, next offset), ascending
+  // poll() buffers, reused so a steady-state poll does not allocate.
+  std::vector<Record> batch_;
+  std::vector<Record> unsorted_;
+  std::vector<std::pair<sim::SimTime, uint32_t>> order_;  // (timestamp, index in unsorted_)
 };
 
 }  // namespace dcm::bus

@@ -6,20 +6,19 @@ namespace dcm::bus {
 
 Producer::Producer(Broker& broker) : broker_(&broker) {}
 
-int64_t Producer::send(const std::string& topic_name, const std::string& key, std::string value,
-                       sim::SimTime timestamp) {
+Producer::Route Producer::route(const std::string& topic_name, std::string_view key) const {
   Topic* topic = broker_->find_topic(topic_name);
   DCM_CHECK_MSG(topic != nullptr, "produce to unknown topic");
-  if (topic->drops_at(timestamp)) {
+  return {topic, topic->partition_for_key(key)};
+}
+
+int64_t Producer::send(Route route, std::span<const std::byte> value, sim::SimTime timestamp) {
+  DCM_CHECK(route.topic != nullptr);
+  if (route.topic->drops_at(timestamp)) {
     ++records_dropped_;
     return -1;
   }
-  const int p = topic->partition_for_key(key);
-  Record record;
-  record.timestamp = timestamp;
-  record.key = key;
-  record.value = std::move(value);
-  const int64_t offset = topic->partition(p).append(std::move(record));
+  const int64_t offset = route.topic->partition(route.partition).append(timestamp, value);
   ++records_sent_;
   return offset;
 }

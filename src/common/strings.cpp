@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace dcm {
 
@@ -28,23 +29,54 @@ std::string_view trim(std::string_view text) {
   return text.substr(b, e - b);
 }
 
+namespace {
+
+// A NUL-terminated copy of `text` for strtod/strtoll: on the stack when it
+// fits (every number this code base writes does), on the heap otherwise.
+class TerminatedCopy {
+ public:
+  explicit TerminatedCopy(std::string_view text) : size_(text.size()) {
+    if (size_ < sizeof(stack_)) {
+      std::memcpy(stack_, text.data(), size_);
+      stack_[size_] = '\0';
+      begin_ = stack_;
+    } else {
+      heap_.assign(text);
+      begin_ = heap_.c_str();
+    }
+  }
+  TerminatedCopy(const TerminatedCopy&) = delete;
+  TerminatedCopy& operator=(const TerminatedCopy&) = delete;
+
+  const char* begin() const { return begin_; }
+  const char* end() const { return begin_ + size_; }
+
+ private:
+  char stack_[64]{};
+  std::string heap_;
+  size_t size_;
+  const char* begin_ = nullptr;
+};
+
+}  // namespace
+
 std::optional<double> parse_double(std::string_view text) {
   const std::string_view t = trim(text);
   if (t.empty()) return std::nullopt;
-  std::string buf(t);
+  const TerminatedCopy buf(t);
   char* end = nullptr;
-  const double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  const double value = std::strtod(buf.begin(), &end);
+  if (end != buf.end()) return std::nullopt;
   return value;
 }
 
 std::optional<int64_t> parse_int(std::string_view text) {
   const std::string_view t = trim(text);
   if (t.empty()) return std::nullopt;
-  std::string buf(t);
+  const TerminatedCopy buf(t);
   char* end = nullptr;
-  const long long value = std::strtoll(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  const long long value = std::strtoll(buf.begin(), &end, 10);
+  if (end != buf.end()) return std::nullopt;
   return static_cast<int64_t>(value);
 }
 
@@ -53,18 +85,26 @@ bool starts_with(std::string_view text, std::string_view prefix) {
 }
 
 std::string str_format(const char* fmt, ...) {
+  // Format once into a stack buffer; only output that overflows it is
+  // formatted a second time, straight into the string.
   va_list args;
   va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  va_list retry;
+  va_copy(retry, args);
+  char stack[256];
+  const int needed = std::vsnprintf(stack, sizeof(stack), fmt, args);
   va_end(args);
   std::string out;
   if (needed > 0) {
-    out.resize(static_cast<size_t>(needed));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, copy);
+    const auto size = static_cast<size_t>(needed);
+    if (size < sizeof(stack)) {
+      out.assign(stack, size);
+    } else {
+      out.resize(size);
+      std::vsnprintf(out.data(), size + 1, fmt, retry);
+    }
   }
-  va_end(copy);
+  va_end(retry);
   return out;
 }
 

@@ -48,23 +48,7 @@ void ControllerBase::start() {
 void ControllerBase::stop() { timer_.cancel(); }
 
 void ControllerBase::control_tick() {
-  period_samples_.clear();
-  // Drain everything published since the last tick.
-  while (true) {
-    auto batch = consumer_->poll(1024);
-    if (batch.empty()) break;
-    for (const auto& record : batch) {
-      auto sample = ntier::MetricSample::parse(record.value);
-      if (!sample) {
-        DCM_LOG_WARN("controller %s: dropping malformed sample", name_.c_str());
-        continue;
-      }
-      period_samples_.push_back(std::move(*sample));
-    }
-  }
-  consumer_->commit();
-
-  const auto observations = aggregate();
+  const auto& observations = observe();
   for (const auto& obs : observations) {
     util_series_[static_cast<size_t>(obs.depth)].add(engine_->now() - policy_.control_period,
                                                      obs.mean_util);
@@ -72,29 +56,47 @@ void ControllerBase::control_tick() {
   decide(observations);
 }
 
-std::vector<TierObservation> ControllerBase::aggregate() {
-  std::vector<TierObservation> out(app_->tier_count());
-  std::vector<double> rt_weight(app_->tier_count(), 0.0);
+const std::vector<TierObservation>& ControllerBase::observe() {
+  period_samples_.clear();
+  // Drain everything published since the last tick.
+  while (true) {
+    const auto batch = consumer_->poll(1024);
+    if (batch.empty()) break;
+    for (const auto& record : batch) {
+      const auto sample = ntier::decode(record.value());
+      if (!sample) {
+        DCM_LOG_WARN("controller %s: dropping malformed sample", name_.c_str());
+        continue;
+      }
+      period_samples_.push_back(*sample);
+    }
+  }
+  consumer_->commit();
+
+  auto& out = observations_;
+  out.resize(app_->tier_count());
+  rt_weight_.assign(app_->tier_count(), 0.0);
   for (size_t i = 0; i < out.size(); ++i) {
     const ntier::Tier& tier = app_->tier(i);
+    out[i] = TierObservation{};
     out[i].tier = tier.name();
     out[i].depth = static_cast<int>(i);
     out[i].active_vms = tier.active_vm_count();
     out[i].booting_vms = tier.booting_vm_count();
   }
   for (const auto& s : period_samples_) {
-    if (s.vm_state != "ACTIVE") continue;
+    if (s.vm_state != ntier::VmState::kActive) continue;
     if (s.depth < 0 || static_cast<size_t>(s.depth) >= out.size()) continue;
     TierObservation& obs = out[static_cast<size_t>(s.depth)];
     ++obs.samples;
-    // `out` is value-initialized above, so these sums start from zero every
+    // Every observation is reset above, so these sums start from zero every
     // call; there is no cross-call accumulator to drift.
     obs.mean_util += s.cpu_util;          // dcm-lint: allow(no-unanchored-float-accumulate)
     obs.mean_concurrency += s.concurrency;  // dcm-lint: allow(no-unanchored-float-accumulate)
     obs.mean_throughput += s.throughput;  // dcm-lint: allow(no-unanchored-float-accumulate)
     // Weight response time by completions so idle seconds don't dilute it.
     obs.mean_response_time += s.avg_response_time * s.throughput;
-    rt_weight[static_cast<size_t>(s.depth)] += s.throughput;
+    rt_weight_[static_cast<size_t>(s.depth)] += s.throughput;
   }
   for (size_t i = 0; i < out.size(); ++i) {
     TierObservation& obs = out[i];
@@ -103,7 +105,7 @@ std::vector<TierObservation> ControllerBase::aggregate() {
       obs.mean_concurrency /= obs.samples;
       obs.mean_throughput /= obs.samples;
     }
-    obs.mean_response_time = rt_weight[i] > 0.0 ? obs.mean_response_time / rt_weight[i] : 0.0;
+    obs.mean_response_time = rt_weight_[i] > 0.0 ? obs.mean_response_time / rt_weight_[i] : 0.0;
   }
   return out;
 }

@@ -87,6 +87,12 @@ class ControllerBase {
   /// Raw samples drained this period (DCM's online estimator consumes them).
   const std::vector<ntier::MetricSample>& period_samples() const { return period_samples_; }
 
+  /// One control period's telemetry intake: drains the monitoring topic,
+  /// decodes the samples into period_samples() and folds them into one
+  /// observation per tier. Its buffers are reused, so at steady state it
+  /// does not allocate. The view stays valid until the next call.
+  const std::vector<TierObservation>& observe();
+
   sim::Engine& engine() { return *engine_; }
   ntier::NTierApp& app() { return *app_; }
   const ntier::NTierApp& app() const { return *app_; }
@@ -98,7 +104,6 @@ class ControllerBase {
 
  private:
   void control_tick();
-  std::vector<TierObservation> aggregate();
   /// Tracks the tier's provisioned VM count (active + booting) and reports
   /// whether it changed since the previous sampled period. Membership churn
   /// invalidates the slow scale-in streak: evidence gathered against the old
@@ -115,6 +120,8 @@ class ControllerBase {
   std::unique_ptr<bus::Consumer> consumer_;
   sim::EventHandle timer_;
   std::vector<ntier::MetricSample> period_samples_;
+  std::vector<TierObservation> observations_;  // observe()'s result, reused
+  std::vector<double> rt_weight_;              // per tier, observe()'s scratch
   std::vector<int> low_util_streak_;     // per tier, for slow scale-in
   std::vector<HoltForecaster> util_forecast_;  // per tier, for policy_.predictive
   std::vector<int> last_capacity_;       // per tier, provisioned VMs (-1 = unseen)

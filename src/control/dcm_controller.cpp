@@ -84,7 +84,7 @@ void DcmController::decide(const std::vector<TierObservation>& observations) {
 
   if (config_.online_estimation && !telemetry_stale) {
     for (const auto& s : period_samples()) {
-      if (s.vm_state != "ACTIVE") continue;
+      if (s.vm_state != ntier::VmState::kActive) continue;
       if (static_cast<size_t>(s.depth) == config_.app_tier) {
         app_estimator_.observe(s.concurrency, s.throughput);
       } else if (static_cast<size_t>(s.depth) == config_.db_tier) {

@@ -1,97 +1,47 @@
 #include "ntier/metric_sample.h"
 
-#include <string_view>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
-#include "common/strings.h"
+#include "common/check.h"
 
 namespace dcm::ntier {
 
-std::string MetricSample::serialize() const {
-  return str_format(
-      "t=%lld;srv=%s;tier=%s;d=%d;st=%s;x=%.6f;rt=%.6f;n=%.4f;u=%.4f;stp=%d;cp=%d;q=%d",
-      static_cast<long long>(time), server_id.c_str(), tier.c_str(), depth, vm_state.c_str(),
-      throughput, avg_response_time, concurrency, cpu_util, thread_pool_size, conn_pool_size,
-      queue_length);
+std::optional<MetricSample> decode(std::span<const std::byte> payload) {
+  if (payload.size() != sizeof(MetricSample)) return std::nullopt;
+  MetricSample s;
+  std::memcpy(&s, payload.data(), sizeof(s));
+  const auto state = static_cast<int32_t>(s.vm_state);
+  if (state < 0 || state > static_cast<int32_t>(VmState::kFailed)) return std::nullopt;
+  return s;
 }
 
-std::optional<MetricSample> MetricSample::parse(const std::string& payload) {
-  // Scanned in place with string_views: this runs once per monitor sample on
-  // the telemetry path, and the map<string, string> version it replaces
-  // allocated ~25 times per call (split vector, substr keys/values, map
-  // nodes). Semantics are unchanged: parts are ';'-separated, every part
-  // needs an '=', unknown keys are ignored, the last occurrence of a
-  // repeated key wins, and all twelve known keys are required.
-  std::string_view t, srv, tier, d, st, x, rt, n, u, stp, cp, q;
-  std::string_view rest = payload;
-  for (;;) {
-    const size_t semi = rest.find(';');
-    const std::string_view part = rest.substr(0, semi);
-    const size_t eq = part.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const std::string_view key = part.substr(0, eq);
-    // A value can legitimately be empty; "seen" is tracked via data() being
-    // non-null (these views always point into `payload` once assigned).
-    const std::string_view value = part.substr(eq + 1);
-    if (key == "t") {
-      t = value;
-    } else if (key == "srv") {
-      srv = value;
-    } else if (key == "tier") {
-      tier = value;
-    } else if (key == "d") {
-      d = value;
-    } else if (key == "st") {
-      st = value;
-    } else if (key == "x") {
-      x = value;
-    } else if (key == "rt") {
-      rt = value;
-    } else if (key == "n") {
-      n = value;
-    } else if (key == "u") {
-      u = value;
-    } else if (key == "stp") {
-      stp = value;
-    } else if (key == "cp") {
-      cp = value;
-    } else if (key == "q") {
-      q = value;
+double quantize_decimal(double x, int places) {
+  static constexpr double kPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                                      1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+  DCM_CHECK(places >= 0 && places <= 15);
+  const double scale = kPow10[places];
+  const double p = x * scale;
+  if (std::fabs(p) < 0x1p52) {  // false for NaN and infinities
+    // x·scale = p + r exactly. Below 2^52, p and its nearest integer n are
+    // multiples of ulp(p) <= 1/2 and |r| <= ulp(p)/2, so r can only move
+    // the rounding when p sits exactly on a half: there the exact value is
+    // off the tie on r's side (r == 0 is a true tie, kept even by rint).
+    const double r = std::fma(x, scale, -p);
+    double n = std::rint(p);
+    const double d = p - n;  // exact (Sterbenz), so the tie tests below are too
+    if (d == 0.5 && r > 0.0) {  // dcm-lint: allow(no-float-eq)
+      n += 1.0;
+    } else if (d == -0.5 && r < 0.0) {  // dcm-lint: allow(no-float-eq)
+      n -= 1.0;
     }
-    if (semi == std::string_view::npos) break;
-    rest.remove_prefix(semi + 1);
+    return n / scale;
   }
-  if (t.data() == nullptr || srv.data() == nullptr || tier.data() == nullptr ||
-      d.data() == nullptr || st.data() == nullptr || x.data() == nullptr ||
-      rt.data() == nullptr || n.data() == nullptr || u.data() == nullptr ||
-      stp.data() == nullptr || cp.data() == nullptr || q.data() == nullptr) {
-    return std::nullopt;
-  }
-
-  const auto ti = parse_int(t);
-  const auto di = parse_int(d);
-  const auto xv = parse_double(x);
-  const auto rtv = parse_double(rt);
-  const auto nv = parse_double(n);
-  const auto uv = parse_double(u);
-  const auto stpv = parse_int(stp);
-  const auto cpv = parse_int(cp);
-  const auto qv = parse_int(q);
-  if (!ti || !di || !xv || !rtv || !nv || !uv || !stpv || !cpv || !qv) return std::nullopt;
-
-  MetricSample s;
-  s.time = *ti;
-  s.server_id.assign(srv);
-  s.tier.assign(tier);
-  s.depth = static_cast<int>(*di);
-  s.vm_state.assign(st);
-  s.throughput = *xv;
-  s.avg_response_time = *rtv;
-  s.concurrency = *nv;
-  s.cpu_util = *uv;
-  s.thread_pool_size = static_cast<int>(*stpv);
-  s.conn_pool_size = static_cast<int>(*cpv);
-  s.queue_length = static_cast<int>(*qv);
-  return s;
+  char text[400];  // "%.15f" of ±DBL_MAX is 326 characters
+  std::snprintf(text, sizeof(text), "%.*f", places, x);
+  return std::strtod(text, nullptr);
 }
 
 }  // namespace dcm::ntier

@@ -4,13 +4,16 @@
 
 namespace dcm::ntier {
 
-MonitorAgent::MonitorAgent(sim::Engine& engine, Vm& vm, const std::string& tier_name, int depth,
-                           bus::Producer& producer, sim::SimTime period)
+static_assert(sizeof(MetricSample) <= bus::Record::kMaxValueBytes,
+              "a monitor sample must fit one bus record");
+
+MonitorAgent::MonitorAgent(sim::Engine& engine, Vm& vm, int depth, bus::Producer& producer,
+                           sim::SimTime period)
     : engine_(&engine),
       vm_(&vm),
-      tier_name_(tier_name),
       depth_(depth),
       producer_(&producer),
+      route_(producer.route(kMetricsTopic, vm.id())),
       period_(period) {
   DCM_CHECK(period_ > 0);
   last_time_ = engine_->now();
@@ -26,10 +29,9 @@ MetricSample MonitorAgent::collect() {
 
   MetricSample s;
   s.time = now;
-  s.server_id = vm_->id();
-  s.tier = tier_name_;
   s.depth = depth_;
-  s.vm_state = vm_state_name(vm_->state());
+  s.vm = vm_->index();
+  s.vm_state = vm_->state();
   s.thread_pool_size = server.thread_pool_size();
   s.conn_pool_size = server.downstream_connection_limit();
   s.queue_length = server.queue_length();
@@ -41,13 +43,13 @@ MetricSample MonitorAgent::collect() {
 
   if (window > 0.0) {
     const uint64_t delta_completed = completed - last_completed_;
-    s.throughput = static_cast<double>(delta_completed) / window;
+    s.throughput = quantize_decimal(static_cast<double>(delta_completed) / window, 6);
     s.avg_response_time =
         delta_completed > 0
-            ? (rt_sum - last_rt_sum_) / static_cast<double>(delta_completed)
+            ? quantize_decimal((rt_sum - last_rt_sum_) / static_cast<double>(delta_completed), 6)
             : 0.0;
-    s.concurrency = (conc_integral - last_concurrency_integral_) / window;
-    s.cpu_util = (util_integral - last_util_integral_) / window;
+    s.concurrency = quantize_decimal((conc_integral - last_concurrency_integral_) / window, 4);
+    s.cpu_util = quantize_decimal((util_integral - last_util_integral_) / window, 4);
   }
 
   last_time_ = now;
@@ -67,8 +69,8 @@ void MonitorAgent::tick() {
     return;  // dead VMs report nothing (their agent died with them)
   }
   if (silenced()) return;  // fault-injected agent silence
-  MetricSample sample = collect();
-  producer_->send(kMetricsTopic, sample.server_id, sample.serialize(), sample.time);
+  const MetricSample sample = collect();
+  producer_->send(route_, encode(sample), sample.time);
 }
 
 MonitorFleet::MonitorFleet(sim::Engine& engine, NTierApp& app, bus::Broker& broker,
@@ -86,10 +88,8 @@ MonitorFleet::MonitorFleet(sim::Engine& engine, NTierApp& app, bus::Broker& brok
 
   for (size_t depth = 0; depth < app.tier_count(); ++depth) {
     Tier& tier = app.tier(depth);
-    for (const auto& vm : tier.vms()) attach(*vm, tier.name(), static_cast<int>(depth));
-    tier.add_vm_activated_callback([this, &tier, depth](Vm& vm) {
-      attach(vm, tier.name(), static_cast<int>(depth));
-    });
+    for (const auto& vm : tier.vms()) attach(*vm, static_cast<int>(depth));
+    tier.add_vm_activated_callback([this, depth](Vm& vm) { attach(vm, static_cast<int>(depth)); });
   }
 }
 
@@ -103,9 +103,8 @@ bool MonitorFleet::silence_vm(const std::string& vm_id, sim::SimTime until) {
   return false;
 }
 
-void MonitorFleet::attach(Vm& vm, const std::string& tier_name, int depth) {
-  agents_.push_back(
-      std::make_unique<MonitorAgent>(*engine_, vm, tier_name, depth, producer_, period_));
+void MonitorFleet::attach(Vm& vm, int depth) {
+  agents_.push_back(std::make_unique<MonitorAgent>(*engine_, vm, depth, producer_, period_));
 }
 
 }  // namespace dcm::ntier

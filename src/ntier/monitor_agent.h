@@ -1,7 +1,8 @@
 // Fine-grained resource monitor (paper Sec. IV).
 //
 // One MonitorAgent runs inside each VM, snapshots the server's counters
-// every second, and produces a MetricSample record to the bus. The
+// every second, and produces a MetricSample record to the bus (keyed by the
+// VM id, whose partition it resolves once). The
 // MonitorFleet attaches an agent to every VM of an app — including VMs
 // launched later by scale-out.
 #pragma once
@@ -22,15 +23,16 @@ inline constexpr const char* kMetricsTopic = "dcm.metrics";
 
 class MonitorAgent {
  public:
-  MonitorAgent(sim::Engine& engine, Vm& vm, const std::string& tier_name, int depth,
-               bus::Producer& producer, sim::SimTime period = sim::kNanosPerSecond);
+  /// The metrics topic must exist.
+  MonitorAgent(sim::Engine& engine, Vm& vm, int depth, bus::Producer& producer,
+               sim::SimTime period = sim::kNanosPerSecond);
   ~MonitorAgent();
 
   MonitorAgent(const MonitorAgent&) = delete;
   MonitorAgent& operator=(const MonitorAgent&) = delete;
 
-  /// Builds the sample for the window since the previous tick (also used
-  /// directly by tests).
+  /// Builds the sample for the window since the previous tick, quantised as
+  /// metric_sample.h documents (also used directly by tests).
   MetricSample collect();
 
   const std::string& vm_id() const;
@@ -46,9 +48,9 @@ class MonitorAgent {
 
   sim::Engine* engine_;
   Vm* vm_;
-  std::string tier_name_;
   int depth_;
   bus::Producer* producer_;
+  bus::Producer::Route route_;
   sim::SimTime period_;
   sim::EventHandle timer_;
   sim::SimTime silenced_until_ = 0;
@@ -80,7 +82,7 @@ class MonitorFleet {
   bool silence_vm(const std::string& vm_id, sim::SimTime until);
 
  private:
-  void attach(Vm& vm, const std::string& tier_name, int depth);
+  void attach(Vm& vm, int depth);
 
   sim::Engine* engine_;
   bus::Producer producer_;

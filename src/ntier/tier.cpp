@@ -53,8 +53,9 @@ Vm& Tier::launch_vm(sim::SimTime boot_delay) {
   if (health_enabled_) server->set_result_listener(&balancer_);
   std::snprintf(name_buf, sizeof(name_buf), "%s-vm%d", config_.name.c_str(),
                 next_vm_index_);
-  auto vm = std::make_unique<Vm>(*engine_, std::string(name_buf), std::move(server),
-                                 boot_delay, [this](Vm& v) { on_vm_active(v); });
+  auto vm = std::make_unique<Vm>(*engine_, std::string(name_buf), next_vm_index_,
+                                 std::move(server), boot_delay,
+                                 [this](Vm& v) { on_vm_active(v); });
   ++next_vm_index_;
   vms_.push_back(std::move(vm));
   return *vms_.back();

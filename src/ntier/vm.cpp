@@ -4,25 +4,9 @@
 
 namespace dcm::ntier {
 
-const char* vm_state_name(VmState state) {
-  switch (state) {
-    case VmState::kBooting:
-      return "BOOTING";
-    case VmState::kActive:
-      return "ACTIVE";
-    case VmState::kDraining:
-      return "DRAINING";
-    case VmState::kStopped:
-      return "STOPPED";
-    case VmState::kFailed:
-      return "FAILED";
-  }
-  return "?";
-}
-
-Vm::Vm(sim::Engine& engine, std::string id, std::unique_ptr<Server> server,
+Vm::Vm(sim::Engine& engine, std::string id, int index, std::unique_ptr<Server> server,
        sim::SimTime boot_delay, std::function<void(Vm&)> on_active)
-    : engine_(&engine), id_(std::move(id)), server_(std::move(server)) {
+    : engine_(&engine), id_(std::move(id)), index_(index), server_(std::move(server)) {
   DCM_CHECK(server_ != nullptr);
   DCM_CHECK(boot_delay >= 0);
   launched_at_ = engine_->now();

@@ -15,9 +15,8 @@
 
 namespace dcm::ntier {
 
+// kFailed stays last: ntier::decode() range-checks a wire state against it.
 enum class VmState { kBooting, kActive, kDraining, kStopped, kFailed };
-
-const char* vm_state_name(VmState state);
 
 class Vm {
  public:
@@ -27,9 +26,10 @@ class Vm {
   /// leaks a pending drain.
   using DrainCallback = std::function<void(Vm&, bool failed)>;
 
+  /// `index` is the tier-local launch index (the N of "<tier>-vmN").
   /// `on_active` fires when the preparation period elapses (synchronously if
   /// boot_delay == 0).
-  Vm(sim::Engine& engine, std::string id, std::unique_ptr<Server> server,
+  Vm(sim::Engine& engine, std::string id, int index, std::unique_ptr<Server> server,
      sim::SimTime boot_delay, std::function<void(Vm&)> on_active);
 
   Vm(const Vm&) = delete;
@@ -47,6 +47,7 @@ class Vm {
   void fail();
 
   const std::string& id() const { return id_; }
+  int index() const { return index_; }
   VmState state() const { return state_; }
   Server& server() { return *server_; }
   const Server& server() const { return *server_; }
@@ -57,6 +58,7 @@ class Vm {
 
   sim::Engine* engine_;
   std::string id_;
+  int index_;
   std::unique_ptr<Server> server_;
   VmState state_ = VmState::kBooting;
   sim::SimTime launched_at_ = 0;

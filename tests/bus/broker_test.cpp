@@ -7,36 +7,36 @@ namespace {
 
 TEST(PartitionTest, AppendsAssignDenseOffsets) {
   Partition p;
-  EXPECT_EQ(p.append({-1, 0, "k", "a"}), 0);
-  EXPECT_EQ(p.append({-1, 0, "k", "b"}), 1);
+  EXPECT_EQ(p.append(0, text_payload("a")), 0);
+  EXPECT_EQ(p.append(0, text_payload("b")), 1);
   EXPECT_EQ(p.end_offset(), 2);
   EXPECT_EQ(p.base_offset(), 0);
 }
 
 TEST(PartitionTest, FetchFromOffset) {
   Partition p;
-  for (int i = 0; i < 5; ++i) p.append({-1, i, "k", std::to_string(i)});
+  for (int i = 0; i < 5; ++i) p.append(i, text_payload(std::to_string(i)));
   const auto records = p.fetch(2, 10);
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].value, "2");
+  EXPECT_EQ(records[0].text(), "2");
   EXPECT_EQ(records[0].offset, 2);
 }
 
 TEST(PartitionTest, FetchRespectsMax) {
   Partition p;
-  for (int i = 0; i < 5; ++i) p.append({-1, i, "k", "v"});
+  for (int i = 0; i < 5; ++i) p.append(i, text_payload("v"));
   EXPECT_EQ(p.fetch(0, 2).size(), 2u);
 }
 
 TEST(PartitionTest, FetchBeyondEndIsEmpty) {
   Partition p;
-  p.append({-1, 0, "k", "v"});
+  p.append(0, text_payload("v"));
   EXPECT_TRUE(p.fetch(5, 10).empty());
 }
 
 TEST(PartitionTest, ExpireMovesBaseOffset) {
   Partition p;
-  for (int i = 0; i < 5; ++i) p.append({-1, i * 100, "k", std::to_string(i)});
+  for (int i = 0; i < 5; ++i) p.append(i * 100, text_payload(std::to_string(i)));
   p.expire_before(250);
   EXPECT_EQ(p.base_offset(), 3);
   EXPECT_EQ(p.size(), 2u);
@@ -75,17 +75,17 @@ TEST(BrokerTest, RetentionEnforcedPerTopicConfig) {
   config.partitions = 1;
   config.retention = 100;
   Topic& topic = broker.create_topic("short", config);
-  topic.partition(0).append({-1, 10, "k", "old"});
-  topic.partition(0).append({-1, 500, "k", "new"});
+  topic.partition(0).append(10, text_payload("old"));
+  topic.partition(0).append(500, text_payload("new"));
   broker.enforce_retention(/*now=*/550);
   EXPECT_EQ(topic.partition(0).size(), 1u);
-  EXPECT_EQ(topic.partition(0).fetch(0, 10)[0].value, "new");
+  EXPECT_EQ(topic.partition(0).fetch(0, 10)[0].text(), "new");
 }
 
 TEST(BrokerTest, ZeroRetentionKeepsEverything) {
   Broker broker;
   Topic& topic = broker.create_topic("keep", {1, 0});
-  topic.partition(0).append({-1, 1, "k", "v"});
+  topic.partition(0).append(1, text_payload("v"));
   broker.enforce_retention(1'000'000'000);
   EXPECT_EQ(topic.partition(0).size(), 1u);
 }
@@ -106,9 +106,9 @@ TEST(BrokerTest, TotalRecordsAcrossTopics) {
   Broker broker;
   Topic& a = broker.create_topic("a", {2, 0});
   Topic& b = broker.create_topic("b", {1, 0});
-  a.partition(0).append({-1, 0, "k", "v"});
-  a.partition(1).append({-1, 0, "k", "v"});
-  b.partition(0).append({-1, 0, "k", "v"});
+  a.partition(0).append(0, text_payload("v"));
+  a.partition(1).append(0, text_payload("v"));
+  b.partition(0).append(0, text_payload("v"));
   EXPECT_EQ(broker.total_records(), 3u);
 }
 

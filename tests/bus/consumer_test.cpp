@@ -25,8 +25,8 @@ TEST_F(ConsumerTest, ProducerAssignsByKey) {
   Consumer consumer(broker_, "g", "t");
   const auto records = consumer.poll();
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].value, "v1");
-  EXPECT_EQ(records[1].value, "v2");
+  EXPECT_EQ(records[0].text(), "v1");
+  EXPECT_EQ(records[1].text(), "v2");
 }
 
 TEST_F(ConsumerTest, PollAdvancesPosition) {
@@ -64,7 +64,7 @@ TEST_F(ConsumerTest, CommitResumesNewConsumerAtPosition) {
   Consumer second(broker_, "g", "t");
   const auto rest = second.poll();
   ASSERT_EQ(rest.size(), 3u);
-  EXPECT_EQ(rest[0].value, "3");
+  EXPECT_EQ(rest[0].text(), "3");
 }
 
 TEST_F(ConsumerTest, UncommittedPositionIsNotPersisted) {
@@ -97,7 +97,7 @@ TEST_F(ConsumerTest, SeekToEndSkipsBacklog) {
   producer.send("t", "k", "new", 10);
   const auto records = consumer.poll();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].value, "new");
+  EXPECT_EQ(records[0].text(), "new");
 }
 
 TEST_F(ConsumerTest, SeekToBeginningReplays) {
@@ -131,7 +131,7 @@ TEST_F(ConsumerTest, SurvivesRetentionTrimAheadOfPosition) {
   producer.send("short", "k", "new", 490);
   const auto records = consumer.poll();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].value, "new");
+  EXPECT_EQ(records[0].text(), "new");
 }
 
 TEST_F(ConsumerTest, PollHonorsMaxAcrossPartitions) {

@@ -30,7 +30,7 @@ TEST_F(GroupMembershipTest, MembersPartitionTheTopic) {
   size_t total = 0;
   for (Consumer* member : {&member0, &member1}) {
     for (const auto& record : member->poll(1000)) {
-      EXPECT_TRUE(seen.insert(record.key + "#" + record.value).second)
+      EXPECT_TRUE(seen.insert(std::string(record.text())).second)
           << "duplicate delivery across members";
       ++total;
     }

@@ -11,20 +11,19 @@
 namespace dcm::control {
 namespace {
 
-// Publishes synthetic samples for one server of a tier.
-void publish(bus::Producer& producer, sim::SimTime t, const std::string& tier, int depth,
-             const std::string& server, double util, const std::string& state = "ACTIVE",
+// Publishes synthetic samples for VM `vm` ("<tier>-vm<vm>") of a tier.
+void publish(bus::Producer& producer, sim::SimTime t, const std::string& tier, int depth, int vm,
+             double util, ntier::VmState state = ntier::VmState::kActive,
              double concurrency = 10.0, double throughput = 50.0) {
   ntier::MetricSample s;
   s.time = t;
-  s.server_id = server;
-  s.tier = tier;
   s.depth = depth;
+  s.vm = vm;
   s.vm_state = state;
   s.cpu_util = util;
   s.concurrency = concurrency;
   s.throughput = throughput;
-  producer.send(ntier::kMetricsTopic, server, s.serialize(), t);
+  producer.send(ntier::kMetricsTopic, tier + "-vm" + std::to_string(vm), ntier::encode(s), t);
 }
 
 class ControllerTest : public ::testing::Test {
@@ -43,9 +42,9 @@ class ControllerTest : public ::testing::Test {
   void emit_period(double end_s, double tomcat_util, double mysql_util) {
     for (double t = end_s - 14.0; t <= end_s; t += 1.0) {
       const sim::SimTime ts = sim::from_seconds(t);
-      publish(*producer_, ts, "apache", 0, "apache-vm0", 0.10);
-      publish(*producer_, ts, "tomcat", 1, "tomcat-vm0", tomcat_util);
-      publish(*producer_, ts, "mysql", 2, "mysql-vm0", mysql_util);
+      publish(*producer_, ts, "apache", 0, 0, 0.10);
+      publish(*producer_, ts, "tomcat", 1, 0, tomcat_util);
+      publish(*producer_, ts, "mysql", 2, 0, mysql_util);
     }
   }
 
@@ -149,7 +148,7 @@ TEST_F(ControllerTest, FrontTierIsNotScaled) {
   controller.start();
   for (int period = 1; period <= 3; ++period) {
     for (double t = 15.0 * period - 14.0; t <= 15.0 * period; t += 1.0) {
-      publish(*producer_, sim::from_seconds(t), "apache", 0, "apache-vm0", 0.99);
+      publish(*producer_, sim::from_seconds(t), "apache", 0, 0, 0.99);
     }
   }
   engine_.run_until(sim::from_seconds(46.0));
@@ -161,7 +160,7 @@ TEST_F(ControllerTest, NonActiveSamplesIgnored) {
   Ec2AutoScaleController controller(engine_, app_, broker_);
   controller.start();
   for (double t = 1.0; t <= 15.0; t += 1.0) {
-    publish(*producer_, sim::from_seconds(t), "tomcat", 1, "tomcat-vm9", 0.99, "BOOTING");
+    publish(*producer_, sim::from_seconds(t), "tomcat", 1, 9, 0.99, ntier::VmState::kBooting);
   }
   engine_.run_until(sim::from_seconds(16.0));
   EXPECT_TRUE(controller.log().actions().empty());

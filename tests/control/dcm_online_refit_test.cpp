@@ -27,14 +27,12 @@ class DcmOnlineRefitTest : public ::testing::Test {
                             double concurrency, double throughput) {
     ntier::MetricSample s;
     s.time = t;
-    s.server_id = tier + "-vm0";
-    s.tier = tier;
     s.depth = depth;
-    s.vm_state = "ACTIVE";
+    s.vm_state = ntier::VmState::kActive;
     s.concurrency = concurrency;
     s.throughput = throughput;
     s.cpu_util = 0.5;
-    producer_->send(ntier::kMetricsTopic, s.server_id, s.serialize(), t);
+    producer_->send(ntier::kMetricsTopic, tier + "-vm0", ntier::encode(s), t);
   }
 
   sim::Engine engine_;

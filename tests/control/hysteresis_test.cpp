@@ -71,18 +71,17 @@ TEST(HysteresisGateTest, ResetForgetsState) {
 
 // --- end-to-end flap kill through Ec2AutoScale ---
 
-void publish(bus::Producer& producer, sim::SimTime t, const std::string& tier, int depth,
-             const std::string& server, double util) {
+void publish(bus::Producer& producer, sim::SimTime t, const std::string& tier, int depth, int vm,
+             double util) {
   ntier::MetricSample s;
   s.time = t;
-  s.server_id = server;
-  s.tier = tier;
   s.depth = depth;
-  s.vm_state = "ACTIVE";
+  s.vm = vm;
+  s.vm_state = ntier::VmState::kActive;
   s.cpu_util = util;
   s.concurrency = 10.0;
   s.throughput = 50.0;
-  producer.send(ntier::kMetricsTopic, server, s.serialize(), t);
+  producer.send(ntier::kMetricsTopic, tier + "-vm" + std::to_string(vm), ntier::encode(s), t);
 }
 
 class FlapTest : public ::testing::Test {
@@ -112,7 +111,7 @@ class FlapTest : public ::testing::Test {
       // Emit each period before its tick — the consumer drains everything
       // available at tick time.
       for (double t = end_s - 14.0; t <= end_s; t += 1.0) {
-        publish(*producer_, sim::from_seconds(t), "tomcat", 1, "tomcat-vm0", util);
+        publish(*producer_, sim::from_seconds(t), "tomcat", 1, 0, util);
       }
       engine_.run_until(sim::from_seconds(end_s + 1.0));
     }

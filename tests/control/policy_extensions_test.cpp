@@ -24,14 +24,12 @@ class PolicyExtensionsTest : public ::testing::Test {
     for (double t = end_s - 14.0; t <= end_s; t += 1.0) {
       ntier::MetricSample s;
       s.time = sim::from_seconds(t);
-      s.server_id = "tomcat-vm0";
-      s.tier = "tomcat";
       s.depth = 1;
-      s.vm_state = "ACTIVE";
+      s.vm_state = ntier::VmState::kActive;
       s.cpu_util = tomcat_util;
       s.throughput = 50.0;
       s.avg_response_time = tomcat_rt;
-      producer_->send(ntier::kMetricsTopic, s.server_id, s.serialize(), s.time);
+      producer_->send(ntier::kMetricsTopic, "tomcat-vm0", ntier::encode(s), s.time);
     }
   }
 

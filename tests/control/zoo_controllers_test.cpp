@@ -16,18 +16,17 @@
 namespace dcm::control {
 namespace {
 
-void publish(bus::Producer& producer, sim::SimTime t, const std::string& tier, int depth,
-             const std::string& server, double util) {
+void publish(bus::Producer& producer, sim::SimTime t, const std::string& tier, int depth, int vm,
+             double util) {
   ntier::MetricSample s;
   s.time = t;
-  s.server_id = server;
-  s.tier = tier;
   s.depth = depth;
-  s.vm_state = "ACTIVE";
+  s.vm = vm;
+  s.vm_state = ntier::VmState::kActive;
   s.cpu_util = util;
   s.concurrency = 10.0;
   s.throughput = 50.0;
-  producer.send(ntier::kMetricsTopic, server, s.serialize(), t);
+  producer.send(ntier::kMetricsTopic, tier + "-vm" + std::to_string(vm), ntier::encode(s), t);
 }
 
 class ZooTest : public ::testing::Test {
@@ -51,9 +50,9 @@ class ZooTest : public ::testing::Test {
   void step(double end_s, double tomcat_util, double mysql_util = 0.5) {
     for (double t = end_s - 14.0; t <= end_s; t += 1.0) {
       const sim::SimTime now = sim::from_seconds(t);
-      publish(*producer_, now, "apache", 0, "apache-vm0", 0.3);
-      if (tomcat_util >= 0.0) publish(*producer_, now, "tomcat", 1, "tomcat-vm0", tomcat_util);
-      if (mysql_util >= 0.0) publish(*producer_, now, "mysql", 2, "mysql-vm0", mysql_util);
+      publish(*producer_, now, "apache", 0, 0, 0.3);
+      if (tomcat_util >= 0.0) publish(*producer_, now, "tomcat", 1, 0, tomcat_util);
+      if (mysql_util >= 0.0) publish(*producer_, now, "mysql", 2, 0, mysql_util);
     }
     engine_.run_until(sim::from_seconds(end_s + 1.0));
   }

@@ -166,7 +166,7 @@ TEST(VmFailTest, FailDuringDrainNotifiesDrainCallbackWithFailed) {
   // Regression: a crash mid-drain used to clear the idle callback without
   // firing the drain's on_stopped, leaking the scale-in bookkeeping forever.
   sim::Engine engine;
-  Vm vm(engine, "vm0", std::make_unique<Server>(engine, slow_leaf(), 0, Rng(9)), 0,
+  Vm vm(engine, "vm0", 0, std::make_unique<Server>(engine, slow_leaf(), 0, Rng(9)), 0,
         [](Vm&) {});
   vm.server().process(request(), [](bool) {});  // keeps the drain pending
   int notified = 0;
@@ -188,7 +188,7 @@ TEST(VmFailTest, FailDuringDrainNotifiesDrainCallbackWithFailed) {
 
 TEST(VmFailTest, CleanDrainStillReportsNotFailed) {
   sim::Engine engine;
-  Vm vm(engine, "vm0", std::make_unique<Server>(engine, slow_leaf(), 0, Rng(10)), 0,
+  Vm vm(engine, "vm0", 0, std::make_unique<Server>(engine, slow_leaf(), 0, Rng(10)), 0,
         [](Vm&) {});
   vm.server().process(request(), [](bool) {});
   bool failed_flag = true;

@@ -23,12 +23,13 @@ TEST(MonitorFailureTest, FailedVmStopsPublishing) {
   bus::Consumer consumer(broker, "test", kMetricsTopic);
   int vm0_before = 0, vm0_after = 0, vm1_after = 0;
   for (const auto& record : consumer.poll(10000)) {
-    const auto sample = MetricSample::parse(record.value);
+    const auto sample = decode(record.value());
     ASSERT_TRUE(sample.has_value());
-    if (sample->server_id == "tomcat-vm0") {
+    if (sample->depth != 1) continue;  // tomcat
+    if (sample->vm == 0) {
       (sim::to_seconds(sample->time) <= 5.5 ? vm0_before : vm0_after)++;
     }
-    if (sample->server_id == "tomcat-vm1" && sim::to_seconds(sample->time) > 5.5) {
+    if (sample->vm == 1 && sim::to_seconds(sample->time) > 5.5) {
       ++vm1_after;
     }
   }
@@ -52,9 +53,9 @@ TEST(MonitorFailureTest, DrainingVmStillReportsUntilStopped) {
   bus::Consumer consumer(broker, "test", kMetricsTopic);
   int stopped_vm_reports_after = 0;
   for (const auto& record : consumer.poll(10000)) {
-    const auto sample = MetricSample::parse(record.value);
+    const auto sample = decode(record.value());
     ASSERT_TRUE(sample.has_value());
-    if (sample->server_id == "tomcat-vm1" && sim::to_seconds(sample->time) > 3.5) {
+    if (sample->depth == 1 && sample->vm == 1 && sim::to_seconds(sample->time) > 3.5) {
       ++stopped_vm_reports_after;
     }
   }

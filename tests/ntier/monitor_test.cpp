@@ -43,12 +43,14 @@ TEST_F(MonitorTest, SamplesParseAndCarryTierIdentity) {
   bus::Consumer consumer(broker_, "test", kMetricsTopic);
   int apache = 0, tomcat = 0, mysql = 0;
   for (const auto& record : consumer.poll(1000)) {
-    const auto sample = MetricSample::parse(record.value);
+    const auto sample = decode(record.value());
     ASSERT_TRUE(sample.has_value());
-    if (sample->tier == "apache") ++apache;
-    if (sample->tier == "tomcat") ++tomcat;
-    if (sample->tier == "mysql") ++mysql;
-    EXPECT_EQ(sample->vm_state, "ACTIVE");
+    const std::string& tier = app_.tier(static_cast<size_t>(sample->depth)).name();
+    if (tier == "apache") ++apache;
+    if (tier == "tomcat") ++tomcat;
+    if (tier == "mysql") ++mysql;
+    EXPECT_EQ(sample->vm, 0);
+    EXPECT_EQ(sample->vm_state, VmState::kActive);
   }
   EXPECT_EQ(apache, 2);
   EXPECT_EQ(tomcat, 2);
@@ -64,9 +66,9 @@ TEST_F(MonitorTest, ThroughputAndConcurrencyReflectLoad) {
   double tomcat_concurrency = 0.0;
   int tomcat_samples = 0;
   for (const auto& record : consumer.poll(10000)) {
-    const auto sample = MetricSample::parse(record.value);
+    const auto sample = decode(record.value());
     ASSERT_TRUE(sample.has_value());
-    if (sample->tier != "tomcat" || sim::to_seconds(sample->time) < 3.0) continue;
+    if (sample->depth != 1 || sim::to_seconds(sample->time) < 3.0) continue;  // tomcat
     tomcat_throughput += sample->throughput;
     tomcat_concurrency += sample->concurrency;
     ++tomcat_samples;
@@ -85,7 +87,9 @@ TEST_F(MonitorTest, FleetAttachesToScaledOutVms) {
   bus::Consumer consumer(broker_, "test", kMetricsTopic);
   bool saw_new_vm = false;
   for (const auto& record : consumer.poll(10000)) {
-    if (record.key == "tomcat-vm1") saw_new_vm = true;
+    const auto sample = decode(record.value());
+    ASSERT_TRUE(sample.has_value());
+    if (sample->depth == 1 && sample->vm == 1) saw_new_vm = true;  // tomcat-vm1
   }
   EXPECT_TRUE(saw_new_vm);
 }
@@ -100,7 +104,7 @@ TEST_F(MonitorTest, IdleServersReportZeroUtil) {
   engine_.run_until(sim::from_seconds(3.5));
   bus::Consumer consumer(broker_, "test", kMetricsTopic);
   for (const auto& record : consumer.poll(1000)) {
-    const auto sample = MetricSample::parse(record.value);
+    const auto sample = decode(record.value());
     ASSERT_TRUE(sample.has_value());
     EXPECT_DOUBLE_EQ(sample->cpu_util, 0.0);
     EXPECT_DOUBLE_EQ(sample->throughput, 0.0);

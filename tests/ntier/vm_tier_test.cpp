@@ -30,7 +30,7 @@ RequestPtr request() {
 TEST(VmTest, BootDelayGatesActivation) {
   sim::Engine engine;
   bool active = false;
-  Vm vm(engine, "vm0", std::make_unique<Server>(engine, tier_config().server, 0, Rng(1)),
+  Vm vm(engine, "vm0", 0, std::make_unique<Server>(engine, tier_config().server, 0, Rng(1)),
         sim::from_seconds(15.0), [&](Vm&) { active = true; });
   EXPECT_EQ(vm.state(), VmState::kBooting);
   engine.run_until(sim::from_seconds(14.9));
@@ -43,7 +43,7 @@ TEST(VmTest, BootDelayGatesActivation) {
 TEST(VmTest, ZeroBootActivatesSynchronously) {
   sim::Engine engine;
   bool active = false;
-  Vm vm(engine, "vm0", std::make_unique<Server>(engine, tier_config().server, 0, Rng(1)), 0,
+  Vm vm(engine, "vm0", 0, std::make_unique<Server>(engine, tier_config().server, 0, Rng(1)), 0,
         [&](Vm&) { active = true; });
   EXPECT_TRUE(active);
   EXPECT_EQ(vm.state(), VmState::kActive);
@@ -51,7 +51,7 @@ TEST(VmTest, ZeroBootActivatesSynchronously) {
 
 TEST(VmTest, DrainWaitsForInFlight) {
   sim::Engine engine;
-  Vm vm(engine, "vm0", std::make_unique<Server>(engine, tier_config().server, 0, Rng(1)), 0,
+  Vm vm(engine, "vm0", 0, std::make_unique<Server>(engine, tier_config().server, 0, Rng(1)), 0,
         nullptr);
   vm.server().process(request(), [](bool) {});
   bool stopped = false;
@@ -65,7 +65,7 @@ TEST(VmTest, DrainWaitsForInFlight) {
 
 TEST(VmTest, DrainIdleStopsImmediately) {
   sim::Engine engine;
-  Vm vm(engine, "vm0", std::make_unique<Server>(engine, tier_config().server, 0, Rng(1)), 0,
+  Vm vm(engine, "vm0", 0, std::make_unique<Server>(engine, tier_config().server, 0, Rng(1)), 0,
         nullptr);
   bool stopped = false;
   vm.begin_drain([&](Vm&, bool) { stopped = true; });

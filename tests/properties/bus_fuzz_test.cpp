@@ -1,5 +1,6 @@
 // Randomized produce/poll/commit/reconnect sequences against the bus,
-// verified against a per-key reference log. Invariants:
+// verified against a per-key reference log (each payload is "<key>:<seq>",
+// since records do not store their key). Invariants:
 //   * per-key order is preserved (same key → same partition → FIFO)
 //   * a consumer group never loses a committed-but-unread record and never
 //     re-reads a record it committed past
@@ -8,7 +9,9 @@
 
 #include <map>
 #include <memory>
-#include <vector>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "bus/consumer.h"
 #include "bus/producer.h"
@@ -34,11 +37,19 @@ TEST_P(BusFuzzTest, RandomInterleavingPreservesPerKeyOrder) {
   int64_t clock = 0;
   uint64_t uncommitted = 0;  // records read since last commit
 
+  // Splits a "<key>:<seq>" payload.
+  const auto key_and_seq = [](const Record& record) {
+    const std::string_view text = record.text();
+    const size_t colon = text.find(':');
+    return std::make_pair(std::string(text.substr(0, colon)),
+                          std::stoi(std::string(text.substr(colon + 1))));
+  };
+
   const auto consume_batch = [&](size_t max_records) {
     for (const auto& record : consumer->poll(max_records)) {
-      auto& expected = consumed_per_key[record.key];
-      const int seq = std::stoi(record.value);
-      ASSERT_EQ(seq, expected) << "per-key order broken for " << record.key;
+      const auto [key, seq] = key_and_seq(record);
+      auto& expected = consumed_per_key[key];
+      ASSERT_EQ(seq, expected) << "per-key order broken for " << key;
       ++expected;
       ++uncommitted;
     }
@@ -48,7 +59,7 @@ TEST_P(BusFuzzTest, RandomInterleavingPreservesPerKeyOrder) {
     const double roll = rng.next_double();
     if (roll < 0.5) {
       const std::string key = "k" + std::to_string(rng.uniform_int(0, key_count - 1));
-      producer.send("fuzz", key, std::to_string(produced_per_key[key]++), ++clock);
+      producer.send("fuzz", key, key + ":" + std::to_string(produced_per_key[key]++), ++clock);
     } else if (roll < 0.8) {
       consume_batch(static_cast<size_t>(rng.uniform_int(1, 64)));
     } else if (roll < 0.92) {
@@ -66,10 +77,9 @@ TEST_P(BusFuzzTest, RandomInterleavingPreservesPerKeyOrder) {
         // Rewind: we don't know the per-key split of `uncommitted`, so
         // rebuild expected cursors from a full re-poll below.
         for (auto& [key, seq] : consumed_per_key) seq = -1;  // sentinel
-        auto records = consumer->poll(1'000'000);
-        for (const auto& record : records) {
-          auto& expected = consumed_per_key[record.key];
-          const int seq = std::stoi(record.value);
+        for (const auto& record : consumer->poll(1'000'000)) {
+          const auto [key, seq] = key_and_seq(record);
+          auto& expected = consumed_per_key[key];
           if (expected == -1) {
             expected = seq;  // first redelivered record sets the cursor
           }

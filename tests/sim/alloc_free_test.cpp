@@ -12,10 +12,15 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <type_traits>
 #include <vector>
 
+#include "bus/broker.h"
+#include "control/controller.h"
 #include "core/topologies.h"
 #include "ntier/app.h"
+#include "ntier/metric_sample.h"
+#include "ntier/monitor_agent.h"
 #include "ntier/request.h"
 #include "sim/engine.h"
 #include "trace/store.h"
@@ -331,6 +336,57 @@ TEST(AllocationFreeTest, TracedClosedLoopRoundTripAllocatesOnlyStoreChunks) {
   uint64_t spans = 0;
   for (const trace::TraceContext* context : tracer.traces()) spans += context->spans.size();
   EXPECT_GT(spans, 10 * tracer.sampled());
+}
+
+static_assert(std::is_trivially_copyable_v<ntier::MetricSample>);
+
+// A controller with no policy: the test drives its telemetry intake.
+class TelemetryProbe : public control::ControllerBase {
+ public:
+  TelemetryProbe(Engine& engine, ntier::NTierApp& app, bus::Broker& broker)
+      : ControllerBase(engine, app, broker, control::ScalingPolicy{}, "probe") {}
+  using ControllerBase::observe;
+  using ControllerBase::period_samples;
+
+ protected:
+  void decide(const std::vector<control::TierObservation>&) override {}
+};
+
+TEST(AllocationFreeTest, TelemetryPipelineIsAllocationFreeAtSteadyState) {
+  // Agent ticks (collect, quantise, encode, send), the broker's retention
+  // sweep, and the controller's poll, decode and aggregate: once the
+  // partition logs and the consumer's buffers have reached their working
+  // size, none of it touches the allocator.
+  Engine engine;
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 2, 1}, {1000, 100, 80}), 1);
+  bus::Broker broker;
+  ntier::MonitorFleet fleet(engine, app, broker);
+  TelemetryProbe probe(engine, app, broker);
+  uint64_t samples = 0;
+  uint64_t tomcat_samples = 0;
+  uint64_t* samples_ptr = &samples;
+  uint64_t* tomcat_ptr = &tomcat_samples;
+  TelemetryProbe* probe_ptr = &probe;
+  engine.schedule_periodic(from_seconds(15.0), [probe_ptr, samples_ptr, tomcat_ptr] {
+    const auto& observations = probe_ptr->observe();
+    *samples_ptr += probe_ptr->period_samples().size();
+    *tomcat_ptr += static_cast<uint64_t>(observations[1].samples);
+  });
+
+  // Warm-up past the 120 s retention horizon: the sweep now trims as much
+  // as the agents append.
+  engine.run_until(from_seconds(300.5));
+  const uint64_t samples_before = samples;
+  const uint64_t tomcat_before = tomcat_samples;
+  const uint64_t before = allocations();
+  engine.run_until(from_seconds(900.5));
+  EXPECT_EQ(allocations(), before) << "steady-state telemetry allocated";
+
+  // 4 agents × 600 s, drained by 40 control periods.
+  EXPECT_EQ(samples - samples_before, 2400u);
+  EXPECT_EQ(tomcat_samples - tomcat_before, 1200u);
+  EXPECT_LT(broker.total_records(), 4 * 140u);
 }
 
 TEST(AllocationFreeTest, OversizedCapturesHeapBoxButStillWork) {

@@ -214,6 +214,21 @@ TEST(DcmLintTest, RawNewCoversTracerAndTraceStore) {
                                        {"no-raw-new-in-hot-path", 30}}));
 }
 
+TEST(DcmLintTest, RawNewCoversTelemetryPath) {
+  // Every agent tick publishes one sample through the producer, a partition
+  // log and the consumer: all four classes are seeds. The one-off report
+  // is not.
+  const auto diags = lint_fixture("raw_new_telemetry_fire.cc", "src/bus/telemetry.cc");
+  EXPECT_EQ(findings(diags), (Expected{{"no-raw-new-in-hot-path", 16},
+                                       {"no-raw-new-in-hot-path", 18},
+                                       {"no-raw-new-in-hot-path", 28},
+                                       {"no-raw-new-in-hot-path", 30},
+                                       {"no-raw-new-in-hot-path", 40},
+                                       {"no-raw-new-in-hot-path", 42},
+                                       {"no-raw-new-in-hot-path", 52},
+                                       {"no-raw-new-in-hot-path", 54}}));
+}
+
 TEST(DcmLintTest, RawNewColdSiteIsClean) {
   // The identical allocation in a free function nothing hot calls is fine,
   // even inside src/sim: cold setup may allocate.

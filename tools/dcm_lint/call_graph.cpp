@@ -443,8 +443,10 @@ bool HotPathIndex::is_hot(std::string_view path, int line) const {
 
 const std::vector<std::pair<std::string_view, std::string_view>>& hot_path_seeds() {
   // The event-dispatch loop, the tier/server request path, the client
-  // request path that drives it, and the tracer that samples and stores
-  // every traced request. A "*" method matches every member; a non-*
+  // request path that drives it, the tracer that samples and stores every
+  // traced request, and the telemetry path every VM-second crosses (the
+  // monitor agent, the producer, the partition log and the consumer). A
+  // "*" method matches every member; a non-*
   // entry is a prefix (Engine::run covers run_until / run_for /
   // run_to_completion). Keep DESIGN.md §10 in sync.
   static const std::vector<std::pair<std::string_view, std::string_view>> kSeeds = {
@@ -452,6 +454,8 @@ const std::vector<std::pair<std::string_view, std::string_view>>& hot_path_seeds
       {"Server", "*"},       {"CpuScheduler", "*"}, {"Tier", "*"},
       {"SlotPool", "*"},     {"Vm", "*"},           {"LoadBalancer", "*"},
       {"ClosedLoopGenerator", "*"}, {"Tracer", "*"}, {"TraceStore", "*"},
+      {"MonitorAgent", "*"}, {"Producer", "*"},     {"Partition", "*"},
+      {"Consumer", "*"},
   };
   return kSeeds;
 }
