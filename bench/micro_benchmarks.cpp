@@ -214,9 +214,11 @@ void record_trace(Context& ctx, uint64_t& lcg) {
 
 void BM_TraceRecordFinalize(benchmark::State& state) {
   // The per-request tracing cost: sample, record 25 spans, finalize. One
-  // iteration traces 256 requests into a fresh tracer, so the store's
-  // chunk allocations (and its teardown) are part of the cost they amortize
-  // over, exactly as in a run.
+  // iteration traces 256 requests into a fresh tracer, so the store's set-up
+  // and teardown are part of the cost they amortize over, as in a run. Its
+  // chunks and scratch buffers come from this thread's recycler, refilled
+  // by the previous iteration's store, as on a thread that runs traced
+  // experiments back to back; only the first iteration allocates them.
   constexpr int kTraces = 256;
   uint64_t lcg = 1;
   for (auto _ : state) {

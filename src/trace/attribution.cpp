@@ -1,6 +1,7 @@
 #include "trace/attribution.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 
@@ -17,33 +18,10 @@ size_t nearest_rank_index(size_t n, double q) {
   return index - 1;
 }
 
-struct Percentiles {
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-// Nearest-rank p50/p95/p99 of `values` (reordered in place). Each
-// nth_element leaves everything left of its pick no greater than it, so
-// the next, lower rank is selected from that prefix alone: three nested
-// selections return exactly the elements a full sort would index.
-Percentiles nearest_rank_percentiles(std::vector<double>& values) {
-  Percentiles out;
-  const size_t n = values.size();
-  if (n == 0) return out;
-  const size_t i99 = nearest_rank_index(n, 0.99);
-  const size_t i95 = nearest_rank_index(n, 0.95);
-  const size_t i50 = nearest_rank_index(n, 0.50);
-  const auto first = values.begin();
-  std::nth_element(first, first + static_cast<std::ptrdiff_t>(i99), values.end());
-  out.p99 = values[i99];
-  std::nth_element(first, first + static_cast<std::ptrdiff_t>(i95),
-                   first + static_cast<std::ptrdiff_t>(i99));
-  out.p95 = values[i95];
-  std::nth_element(first, first + static_cast<std::ptrdiff_t>(i50),
-                   first + static_cast<std::ptrdiff_t>(i95));
-  out.p50 = values[i50];
-  return out;
+// Maps a double to an integer whose order is IEEE total order (-0 before
+// +0, and numeric order otherwise). The map is its own inverse.
+int64_t total_order_key(int64_t bits) {
+  return bits ^ static_cast<int64_t>(static_cast<uint64_t>(bits >> 63) >> 1);
 }
 
 }  // namespace
@@ -68,13 +46,38 @@ void LatencyAttribution::AggTable::for_each(Fn&& fn) const {
   }
 }
 
+SharePercentiles nearest_rank_percentiles(std::span<const double> values,
+                                          std::vector<int64_t>& keys) {
+  SharePercentiles out;
+  const size_t n = values.size();
+  if (n == 0) return out;
+  keys.resize(n);
+  std::transform(values.begin(), values.end(), keys.begin(),
+                 [](double v) { return total_order_key(std::bit_cast<int64_t>(v)); });
+  const size_t i50 = nearest_rank_index(n, 0.50);
+  const size_t i95 = nearest_rank_index(n, 0.95);
+  const size_t i99 = nearest_rank_index(n, 0.99);
+  // Each pick leaves everything right of it no smaller, so the next, higher
+  // rank is selected from that suffix alone: p50 visits n keys, p95 about
+  // n/2 and p99 about n/20. i50 <= i95 <= i99; an equal rank is the same pick.
+  const auto select = [&keys](size_t from, size_t index) {
+    const auto first = keys.begin();
+    std::nth_element(first + static_cast<std::ptrdiff_t>(from),
+                     first + static_cast<std::ptrdiff_t>(index), keys.end());
+    return std::bit_cast<double>(total_order_key(keys[index]));
+  };
+  out.p50 = select(0, i50);
+  out.p95 = i95 == i50 ? out.p50 : select(i50 + 1, i95);
+  out.p99 = i99 == i95 ? out.p95 : select(i95 + 1, i99);
+  return out;
+}
+
 template <typename Row>
-void LatencyAttribution::summarize(const CauseAgg& agg, std::vector<double>& scratch, Row& row) {
+void LatencyAttribution::summarize(const CauseAgg& agg, std::vector<int64_t>& scratch, Row& row) {
   row.traces = static_cast<uint64_t>(agg.shares.size());
   row.total_seconds = agg.total_seconds;
   row.mean_seconds = agg.total_seconds / static_cast<double>(agg.shares.size());
-  scratch.assign(agg.shares.begin(), agg.shares.end());
-  const Percentiles p = nearest_rank_percentiles(scratch);
+  const SharePercentiles p = nearest_rank_percentiles(agg.shares, scratch);
   row.p50_share = p.p50;
   row.p95_share = p.p95;
   row.p99_share = p.p99;
@@ -130,7 +133,7 @@ void LatencyAttribution::add(const TraceContext& trace) {
 
 std::vector<AttributionRow> LatencyAttribution::rows() const {
   std::vector<AttributionRow> rows;
-  std::vector<double> scratch;
+  std::vector<int64_t> scratch;
   causes_.for_each([&](int tier, int cause, const CauseAgg& agg) {
     AttributionRow& row = rows.emplace_back();
     row.tier = tier;
@@ -142,7 +145,7 @@ std::vector<AttributionRow> LatencyAttribution::rows() const {
 
 std::vector<EdgeAttributionRow> LatencyAttribution::edge_rows() const {
   std::vector<EdgeAttributionRow> rows;
-  std::vector<double> scratch;
+  std::vector<int64_t> scratch;
   edges_.for_each([&](int tier, int edge, const CauseAgg& agg) {
     EdgeAttributionRow& row = rows.emplace_back();
     row.tier = tier;

@@ -12,7 +12,9 @@
 // leaf causes partition the latency up to scheduling gaps.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "trace/store.h"
@@ -49,6 +51,18 @@ struct EdgeAttributionRow {
   double p95_share = 0.0;
   double p99_share = 0.0;
 };
+
+struct SharePercentiles {
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+};
+
+/// Nearest-rank p50/p95/p99 of `values` (all zero when empty), bit for bit
+/// the elements an ascending sort in IEEE total order (-0 before +0) would
+/// index. `keys` is scratch, reused across calls.
+SharePercentiles nearest_rank_percentiles(std::span<const double> values,
+                                          std::vector<int64_t>& keys);
 
 class LatencyAttribution {
  public:
@@ -92,7 +106,7 @@ class LatencyAttribution {
   /// Fills a row's counts, totals and nearest-rank share percentiles;
   /// `scratch` is reused across rows.
   template <typename Row>
-  static void summarize(const CauseAgg& agg, std::vector<double>& scratch, Row& row);
+  static void summarize(const CauseAgg& agg, std::vector<int64_t>& scratch, Row& row);
   static void fold(AggTable& table, const std::vector<KeySum>& sums, double total);
 
   uint64_t trace_count_ = 0;

@@ -1,7 +1,9 @@
 #include "trace/store.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 namespace dcm::trace {
 namespace {
@@ -14,20 +16,110 @@ Chunk* append_chunk(std::unique_ptr<Chunk>& head, Chunk* tail, std::unique_ptr<C
   return raw;
 }
 
+// Frees a chunk list iteratively: a long run's list would otherwise recurse
+// once per chunk through the unique_ptr chain.
+template <typename Chunk>
+void free_chunks(std::unique_ptr<Chunk>& head) {
+  while (head != nullptr) head = std::move(head->next);
+}
+
+// A free list of one chunk kind, at most `bound` long.
+template <typename Chunk>
+struct ChunkCache {
+  std::unique_ptr<Chunk> head;
+  uint64_t size = 0;
+  uint64_t bound = 0;  // the most chunks one destroyed store held
+
+  ChunkCache() = default;
+  ChunkCache(const ChunkCache&) = delete;
+  ChunkCache& operator=(const ChunkCache&) = delete;
+  ~ChunkCache() { free_chunks(head); }
+
+  std::unique_ptr<Chunk> take() {
+    if (head == nullptr) return nullptr;
+    std::unique_ptr<Chunk> chunk = std::move(head);
+    head = std::move(chunk->next);
+    --size;
+    return chunk;
+  }
+
+  // Takes a dead store's `count` chunks, keeping what fits the bound.
+  void give(std::unique_ptr<Chunk> list, uint64_t count) {
+    bound = std::max(bound, count);
+    while (list != nullptr) {
+      std::unique_ptr<Chunk> next = std::move(list->next);
+      if (size < bound) {
+        list->next = std::move(head);
+        head = std::move(list);
+        ++size;
+      }
+      list = std::move(next);  // frees a chunk the cache did not keep
+    }
+  }
+};
+
+// A chunk from `cache` (null: no recycler) when it has one, else a fresh one.
+template <typename Chunk>
+std::unique_ptr<Chunk> take_chunk(ChunkCache<Chunk>* cache) {
+  std::unique_ptr<Chunk> chunk = cache == nullptr ? nullptr : cache->take();
+  return chunk != nullptr ? std::move(chunk) : std::make_unique_for_overwrite<Chunk>();
+}
+
+// Trivially destructible, so a store dying after its thread's recycler
+// (in a later thread-exit or static destructor) can still read it.
+thread_local bool t_recycler_gone = false;
+
 }  // namespace
 
+struct TraceStore::Recycler {
+  ChunkCache<ContextChunk> contexts;
+  ChunkCache<SpanChunk> spans;
+  std::vector<std::vector<Span>> scratch;  // empty, capacity kept
+  uint64_t scratch_bound = 0;  // the most buffers one destroyed store held
+
+  ~Recycler() { t_recycler_gone = true; }
+
+  /// The calling thread's recycler; null once that thread has destroyed it.
+  static Recycler* local() {
+    if (t_recycler_gone) return nullptr;
+    thread_local Recycler recycler;
+    return &recycler;
+  }
+};
+
+TraceStore::ThreadCache TraceStore::thread_cache() {
+  const Recycler* recycler = Recycler::local();
+  if (recycler == nullptr) return {};
+  return {recycler->contexts.size, recycler->spans.size, recycler->scratch.size()};
+}
+
 TraceStore::~TraceStore() {
-  // Unlink iteratively: a long run's chunk lists would otherwise recurse
-  // once per chunk through the unique_ptr chain.
-  while (contexts_head_ != nullptr) contexts_head_ = std::move(contexts_head_->next);
-  while (spans_head_ != nullptr) spans_head_ = std::move(spans_head_->next);
+  Recycler* recycler = Recycler::local();
+  if (recycler == nullptr) {
+    free_chunks(contexts_head_);
+    free_chunks(spans_head_);
+    return;
+  }
+  // Open traces (and traces longer than a chunk) still hold buffers.
+  for (TraceContext* context : contexts()) {
+    if (context->scratch_.capacity() == 0) continue;
+    context->scratch_.clear();
+    recycler->scratch.push_back(std::exchange(context->scratch_, {}));
+  }
+  recycler->scratch_bound = std::max(recycler->scratch_bound, scratch_peak_);
+  if (recycler->scratch.size() > recycler->scratch_bound) {
+    recycler->scratch.resize(recycler->scratch_bound);
+  }
+  recycler->contexts.give(std::move(contexts_head_), context_chunks_);
+  recycler->spans.give(std::move(spans_head_), span_chunks_);
 }
 
 TraceContext* TraceStore::open(uint64_t request_id, int servlet, sim::SimTime started) {
+  Recycler* recycler = Recycler::local();
   const size_t slot = count_ % kContextsPerChunk;
   if (slot == 0) {
-    contexts_tail_ =
-        append_chunk(contexts_head_, contexts_tail_, std::make_unique<ContextChunk>());
+    contexts_tail_ = append_chunk(contexts_head_, contexts_tail_,
+                                  take_chunk(recycler == nullptr ? nullptr : &recycler->contexts));
     ++context_chunks_;
   }
   ++count_;
@@ -35,33 +127,41 @@ TraceContext* TraceStore::open(uint64_t request_id, int servlet, sim::SimTime st
   context.request_id = request_id;
   context.servlet = servlet;
   context.started = started;
+  context.finished = 0;
+  context.ok = false;
+  context.finalized = false;
+  context.attempts = 1;
+  context.spans = {};
   context.store_ = this;
-  if (free_scratch_.empty()) {
-    context.scratch_ = &scratch_.emplace_back();
-  } else {
-    context.scratch_ = free_scratch_.back();
-    free_scratch_.pop_back();
+  if (recycler != nullptr && !recycler->scratch.empty()) {
+    context.scratch_ = std::move(recycler->scratch.back());
+    recycler->scratch.pop_back();
   }
+  scratch_peak_ = std::max(scratch_peak_, ++scratch_held_);
   return &context;
 }
 
 void TraceStore::seal(TraceContext& context) {
-  std::vector<Span>* scratch = std::exchange(context.scratch_, nullptr);
-  const size_t count = scratch->size();
+  Recycler* recycler = Recycler::local();
+  context.store_ = nullptr;
+  std::vector<Span>& scratch = context.scratch_;
+  const size_t count = scratch.size();
   if (count > kSpansPerChunk) return;  // the buffer itself becomes the storage
   if (count > 0) {
     if (spans_tail_ == nullptr || kSpansPerChunk - spans_tail_->used < count) {
       spans_tail_ = append_chunk(spans_head_, spans_tail_,
-                                 std::make_unique_for_overwrite<SpanChunk>());
+                                 take_chunk(recycler == nullptr ? nullptr : &recycler->spans));
+      spans_tail_->used = 0;  // a recycled chunk still counts its last store's spans
       ++span_chunks_;
     }
     Span* sealed = spans_tail_->storage.items + spans_tail_->used;
-    std::uninitialized_copy(scratch->begin(), scratch->end(), sealed);
+    std::uninitialized_copy(scratch.begin(), scratch.end(), sealed);
     spans_tail_->used += count;
     context.spans = {sealed, count};
   }
-  scratch->clear();
-  free_scratch_.push_back(scratch);
+  --scratch_held_;
+  scratch.clear();
+  if (recycler != nullptr) recycler->scratch.push_back(std::exchange(scratch, {}));
 }
 
 void TraceContext::finalize(sim::SimTime at, bool success) {

@@ -2,24 +2,30 @@
 //
 // Contexts live in fixed-size chunks with stable addresses, so a request
 // holds its context by raw pointer and the store hands them back in
-// sampling order. An open trace appends to a scratch buffer drawn from a
-// recycled pool; finalize() seals the spans into a chunked span arena and
-// returns the buffer, so a warm run records spans without allocating.
-// Steady state allocates exactly once per chunk opened (context_chunks() +
-// span_chunks()); nothing else grows once the scratch pool covers the
-// run's peak count of open traces.
+// sampling order. An open trace appends to a scratch buffer; finalize()
+// seals the spans into a chunked span arena and hands the buffer back, so
+// a warm run records spans without allocating.
+//
+// Trace memory outlives the store. When a store dies, its context chunks,
+// span chunks and the scratch buffers its open traces still hold go to the
+// destroying thread's recycler, and the next store on that thread draws
+// from it before allocating; finalize() hands buffers straight to the
+// recycler too, so there is one recycling path. The recycler keeps at most
+// what the largest store that thread has destroyed used (chunks per kind,
+// and the store's peak of buffers held at once), so its bound is derived,
+// never configured. It frees everything when its thread exits. A cold
+// thread allocates exactly once per chunk opened (context_chunks() +
+// span_chunks()) and pays the first touch of each.
 //
 // A trace longer than a whole span chunk keeps its scratch buffer as its
-// sealed storage instead (that buffer then leaves the pool).
+// sealed storage instead, until the store dies.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iterator>
 #include <memory>
-#include <vector>
 
 #include "sim/time.h"
 #include "trace/trace.h"
@@ -28,8 +34,16 @@ namespace dcm::trace {
 
 class TraceStore {
  public:
-  static constexpr size_t kContextsPerChunk = 512;  // 36 KiB
+  static constexpr size_t kContextsPerChunk = 512;  // 44 KiB
   static constexpr size_t kSpansPerChunk = 2048;    // 64 KiB
+
+  /// What the calling thread's recycler holds right now.
+  struct ThreadCache {
+    uint64_t context_chunks = 0;
+    uint64_t span_chunks = 0;
+    uint64_t scratch_buffers = 0;
+  };
+  static ThreadCache thread_cache();
 
  private:
   struct ContextChunk {
@@ -45,6 +59,7 @@ class TraceStore {
     size_t used = 0;
     std::unique_ptr<SpanChunk> next;
   };
+  struct Recycler;  // the per-thread cache (store.cpp)
 
  public:
   /// Forward range over every opened context, in sampling order. Elements
@@ -101,8 +116,8 @@ class TraceStore {
   TraceStore(const TraceStore&) = delete;
   TraceStore& operator=(const TraceStore&) = delete;
 
-  /// Opens the next context in sampling order; it stays valid for the
-  /// store's lifetime.
+  /// Opens the next context in sampling order, fully reset even when its
+  /// chunk is recycled; it stays valid for the store's lifetime.
   TraceContext* open(uint64_t request_id, int servlet, sim::SimTime started);
 
   uint64_t size() const { return count_; }
@@ -125,9 +140,8 @@ class TraceStore {
   SpanChunk* spans_tail_ = nullptr;
   uint64_t context_chunks_ = 0;
   uint64_t span_chunks_ = 0;
-
-  std::deque<std::vector<Span>> scratch_;  // stable addresses
-  std::vector<std::vector<Span>*> free_scratch_;
+  uint64_t scratch_held_ = 0;  // buffers the store's contexts hold now
+  uint64_t scratch_peak_ = 0;  // ... and at most at once
 };
 
 }  // namespace dcm::trace

@@ -80,8 +80,8 @@ struct TraceContext {
   bool ok = false;
   bool finalized = false;
   int attempts = 1;           // client-side issue attempts
-  /// The recorded spans in order: a view of the store's scratch buffer
-  /// while the trace is open, of its sealed arena run once finalized.
+  /// The recorded spans in order: a view of the scratch buffer while the
+  /// trace is open, of its sealed arena run once finalized.
   std::span<const Span> spans;
 
   TraceContext() = default;
@@ -98,9 +98,9 @@ struct TraceContext {
   /// add_span with the service-graph edge id the span occurred on.
   void add_edge_span(SpanKind kind, int tier, int edge, sim::SimTime start,
                      sim::SimTime end, double value = 0.0) {
-    if (scratch_ == nullptr) return;  // finalized, or not from a store
-    scratch_->push_back(Span{start, end, value, narrow(tier), narrow(edge), kind});
-    spans = {scratch_->data(), scratch_->size()};
+    if (store_ == nullptr) return;  // finalized, or not from a store
+    scratch_.push_back(Span{start, end, value, narrow(tier), narrow(edge), kind});
+    spans = {scratch_.data(), scratch_.size()};
   }
 
   /// Settles the trace and seals its spans into the store's arena; no
@@ -115,8 +115,9 @@ struct TraceContext {
     return static_cast<int16_t>(v);
   }
 
-  TraceStore* store_ = nullptr;
-  std::vector<Span>* scratch_ = nullptr;  // set by the store until finalize()
+  TraceStore* store_ = nullptr;  // set by the store until finalize()
+  /// Spans of an open trace, in a buffer the store's thread recycles.
+  std::vector<Span> scratch_;
 };
 
 }  // namespace dcm::trace

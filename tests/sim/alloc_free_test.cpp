@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -235,6 +236,20 @@ TEST(AllocationFreeTest, FanOutJoinRoundTripIsAllocationFreeAtSteadyState) {
   expect_allocation_free_round_trips(loop);
 }
 
+// A fixed three-tier plan with no servlet: the per-servlet response-time
+// map never grows, so the only client-side containers are the per-second
+// series.
+struct FixedChainPlan {
+  ntier::RequestPtr operator()(Arena* arena, uint64_t id, Rng&, SimTime now) const {
+    ntier::RequestPtr request = ntier::make_request_context(arena);
+    request->id = id;
+    request->created = now;
+    request->demand_scale = {1.0, 1.0, 1.0};
+    request->downstream_calls = {1, 2};
+    return request;
+  }
+};
+
 TEST(AllocationFreeTest, ResilientClosedLoopRoundTripIsAllocationFreeAtSteadyState) {
   // The chaos-resilience stack without faults: health-checked balancing on
   // the app and db tiers (the servers report every visit outcome to their
@@ -253,21 +268,9 @@ TEST(AllocationFreeTest, ResilientClosedLoopRoundTripIsAllocationFreeAtSteadySta
     if (i + 1 < app.tier_count()) app.tier(i).set_subrequest_retry(sub_retry);
     if (i > 0) app.tier(i).enable_health_checks(health);
   }
-  // A fixed plan with no servlet: the per-servlet response-time map never
-  // grows, so the only client-side containers are the per-second series.
-  struct Plan {
-    ntier::RequestPtr operator()(Arena* arena, uint64_t id, Rng&, SimTime now) const {
-      ntier::RequestPtr request = ntier::make_request_context(arena);
-      request->id = id;
-      request->created = now;
-      request->demand_scale = {1.0, 1.0, 1.0};
-      request->downstream_calls = {1, 2};
-      return request;
-    }
-  };
   workload::ClosedLoopConfig config;
   config.users = 1;
-  workload::ClosedLoopGenerator generator(engine, app, Plan{}, std::move(config));
+  workload::ClosedLoopGenerator generator(engine, app, FixedChainPlan{}, std::move(config));
   workload::RetryPolicy retry;
   retry.timeout_seconds = 10.0;  // armed on every attempt, always cancelled
   retry.max_retries = 1;
@@ -301,19 +304,9 @@ TEST(AllocationFreeTest, TracedClosedLoopRoundTripAllocatesOnlyStoreChunks) {
   Engine engine;
   ntier::NTierApp app(
       engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
-  struct Plan {
-    ntier::RequestPtr operator()(Arena* arena, uint64_t id, Rng&, SimTime now) const {
-      ntier::RequestPtr request = ntier::make_request_context(arena);
-      request->id = id;
-      request->created = now;
-      request->demand_scale = {1.0, 1.0, 1.0};
-      request->downstream_calls = {1, 2};
-      return request;
-    }
-  };
   workload::ClosedLoopConfig config;
   config.users = 1;
-  workload::ClosedLoopGenerator generator(engine, app, Plan{}, std::move(config));
+  workload::ClosedLoopGenerator generator(engine, app, FixedChainPlan{}, std::move(config));
   trace::Tracer tracer(7, trace::TraceSpec{true, 1.0});
   generator.set_tracer(&tracer);
   generator.start();
@@ -336,6 +329,42 @@ TEST(AllocationFreeTest, TracedClosedLoopRoundTripAllocatesOnlyStoreChunks) {
   uint64_t spans = 0;
   for (const trace::TraceContext* context : tracer.traces()) spans += context->spans.size();
   EXPECT_GT(spans, 10 * tracer.sampled());
+}
+
+/// Builds, runs to t = 60 s and tears down a single-user closed loop whose
+/// tracer samples every request or none; returns every allocation it made.
+uint64_t closed_loop_allocations(bool traced) {
+  const uint64_t before = allocations();
+  {
+    Engine engine;
+    ntier::NTierApp app(
+        engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
+    // Requests hold their contexts in the tracer's store: it outlives them.
+    trace::Tracer tracer(7, trace::TraceSpec{traced, 1.0});
+    workload::ClosedLoopConfig config;
+    config.users = 1;
+    workload::ClosedLoopGenerator generator(engine, app, FixedChainPlan{}, std::move(config));
+    generator.set_tracer(&tracer);
+    generator.start();
+    engine.run_until(from_seconds(60.0));
+    EXPECT_EQ(tracer.sampled() > 100, traced);
+  }
+  return allocations() - before;
+}
+
+TEST(AllocationFreeTest, TracedRoundTripOnAWarmThreadAllocatesNoTraceStorage) {
+  // The first traced loop's store dies into this thread's recycler; an
+  // identical second one then draws every context chunk, span chunk and
+  // scratch buffer from it, so it allocates exactly what a loop with a
+  // disabled tracer (the same empty store, nothing sampled) does. A fresh
+  // thread starts with an empty recycler, whatever ran before this test.
+  std::thread([] {
+    const uint64_t cold = closed_loop_allocations(true);
+    const uint64_t untraced = closed_loop_allocations(false);
+    const uint64_t warm = closed_loop_allocations(true);
+    EXPECT_EQ(warm, untraced) << "a warm traced loop allocated trace storage";
+    EXPECT_GT(cold, warm) << "the cold loop should have allocated its chunks";
+  }).join();
 }
 
 static_assert(std::is_trivially_copyable_v<ntier::MetricSample>);

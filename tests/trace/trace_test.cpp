@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <compare>
+#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/time.h"
 #include "trace/attribution.h"
 #include "trace/store.h"
@@ -332,10 +335,11 @@ TEST(AttributionTest, NearestRankTailPicksTheWorstTrace) {
   EXPECT_NEAR(rows[0].p99_share, 0.9, 1e-9);
 }
 
-// Nearest-rank index into an ascending sort: the reference the nested
-// selection must reproduce exactly.
+// Nearest-rank index into a sort ascending in IEEE total order (-0 before
+// +0): the reference the selection must reproduce bit for bit.
 double sorted_nearest_rank(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
+  std::sort(values.begin(), values.end(),
+            [](double a, double b) { return std::strong_order(a, b) < 0; });
   const double rank = q * static_cast<double>(values.size());
   size_t index = static_cast<size_t>(rank);
   if (static_cast<double>(index) < rank) ++index;
@@ -376,6 +380,54 @@ TEST(AttributionTest, PercentilesEqualAFullSortAtEverySampleCount) {
     EXPECT_EQ(edges[0].p95_share, sorted_nearest_rank(edge_shares, 0.95)) << n;
     EXPECT_EQ(edges[0].p99_share, sorted_nearest_rank(edge_shares, 0.99)) << n;
   }
+}
+
+// One draw for the differential test below: heavy duplicates, a mix of
+// +0, -0 and a few signed values, or a continuum.
+double draw_share(Rng& rng, int kind) {
+  switch (kind) {
+    case 0:
+      return static_cast<double>(rng.uniform_int(0, 4)) * 0.125;
+    case 1: {
+      const int64_t pick = rng.uniform_int(0, 5);
+      if (pick <= 1) return 0.0;
+      if (pick <= 3) return -0.0;
+      return pick == 4 ? 0.5 : -0.25;
+    }
+    default:
+      return rng.next_double();
+  }
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+void expect_selection_matches_sort(const std::vector<double>& values,
+                                   std::vector<int64_t>& keys) {
+  const SharePercentiles p = nearest_rank_percentiles(values, keys);
+  EXPECT_TRUE(same_bits(p.p50, sorted_nearest_rank(values, 0.50))) << values.size();
+  EXPECT_TRUE(same_bits(p.p95, sorted_nearest_rank(values, 0.95))) << values.size();
+  EXPECT_TRUE(same_bits(p.p99, sorted_nearest_rank(values, 0.99))) << values.size();
+}
+
+TEST(AttributionTest, PercentileSelectionMatchesSortThenIndexBitForBit) {
+  Rng rng(20240611);
+  std::vector<int64_t> keys;
+  std::vector<double> values;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (size_t n = 1; n <= 512; ++n) {
+      values.clear();
+      for (size_t i = 0; i < n; ++i) values.push_back(draw_share(rng, kind));
+      expect_selection_matches_sort(values, keys);
+    }
+    for (int round = 0; round < 8; ++round) {
+      const auto n = static_cast<size_t>(rng.uniform_int(513, 100'000));
+      values.clear();
+      for (size_t i = 0; i < n; ++i) values.push_back(draw_share(rng, kind));
+      expect_selection_matches_sort(values, keys);
+    }
+  }
+  values.clear();
+  EXPECT_TRUE(same_bits(nearest_rank_percentiles(values, keys).p99, 0.0));
 }
 
 TEST(AttributionTest, RowsFollowTierThenKeyOrderWhateverTheSpanOrder) {

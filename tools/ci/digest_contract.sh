@@ -32,6 +32,7 @@ chaos        | sweep chaos-resilience --set run.duration=120 --axis resilience.e
 trace        | run fig5 --set run.duration=60 | ;--trace;--trace-rate 0.25
 chaos-trace  | run chaos-resilience --set run.duration=120 | ;--trace;--trace-rate 0.25
 trace-heavy  | run trace-attribution --set run.duration=60 | ;--trace-rate 0.25;--set trace.enabled=false
+trace-sweep  | sweep trace-attribution --set run.duration=60 --axis workload.users=150,300 --trace | --jobs 1;--jobs $jobs
 tournament   | tournament quickstart chaos-resilience --set run.duration=120 | --jobs 1;--jobs $jobs
 topology     | sweep diamond-cache --axis workload.users=150,300 --axis run.max_vms=4,8 | --jobs 1;--jobs $jobs
 fanout-retry | sweep fanout-join --set resilience.enabled=true --axis workload.users=150,300 | --jobs 1;--jobs $jobs
