@@ -13,7 +13,6 @@
 #include "bus/producer.h"
 #include "common/rng.h"
 #include "fit/levenberg_marquardt.h"
-#include "metrics/p2_quantile.h"
 #include "model/concurrency_model.h"
 #include "ntier/cpu_scheduler.h"
 #include "ntier/metric_sample.h"
@@ -296,17 +295,6 @@ void BM_MetricSampleEncodeDecode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MetricSampleEncodeDecode);
-
-void BM_P2Quantile(benchmark::State& state) {
-  dcm::metrics::P2Quantile q(0.95);
-  dcm::Rng rng(1);
-  for (auto _ : state) {
-    q.add(rng.exponential(0.1));
-  }
-  benchmark::DoNotOptimize(q.value());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_P2Quantile);
 
 void BM_LevenbergMarquardtEq7(benchmark::State& state) {
   // Fit Eq. 7 to a synthetic sweep — the online estimator's refit cost.

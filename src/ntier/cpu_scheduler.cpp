@@ -133,8 +133,8 @@ void CpuScheduler::on_completion_event() {
   // exactly one job, and that case needs no callback staging vector at all.
   const Job first = jobs_.top();
   completed_work_exact_ += first.work;
-  sim::EventFn first_fn = std::move(done_slab_[first.done_slot]);
-  done_free_.push_back(first.done_slot);
+  sim::EventFn first_fn;
+  done_.take(done_.handle(first.done_slot), first_fn);
   jobs_.pop();
   --live_jobs_;
   ++jobs_completed_;
@@ -157,8 +157,7 @@ void CpuScheduler::on_completion_event() {
   while (!jobs_.empty() && jobs_.top().finish_virtual <= due) {
     const Job& top = jobs_.top();
     completed_work_exact_ += top.work;
-    done_fns.push_back(std::move(done_slab_[top.done_slot]));
-    done_free_.push_back(top.done_slot);
+    done_.take(done_.handle(top.done_slot), done_fns.emplace_back());
     jobs_.pop();
     --live_jobs_;
     ++jobs_completed_;
@@ -181,22 +180,17 @@ void CpuScheduler::on_completion_event() {
   done_scratch_ = std::move(done_fns);
 }
 
-uint32_t CpuScheduler::alloc_done_slot(sim::EventFn done) {
-  if (!done_free_.empty()) {
-    const uint32_t slot = done_free_.back();
-    done_free_.pop_back();
-    done_slab_[slot] = std::move(done);
-    return slot;
-  }
-  done_slab_.push_back(std::move(done));
-  return static_cast<uint32_t>(done_slab_.size() - 1);
+void CpuScheduler::push_job(double work, sim::EventFn&& done) {
+  const sim::Slab<sim::EventFn>::Handle h = done_.alloc();
+  *done_.get(h) = std::move(done);
+  jobs_.push(Job{virtual_clock_ + work, next_seq_++, work, h.index});
+  ++live_jobs_;
 }
 
 void CpuScheduler::submit(double work, sim::EventFn done) {
   DCM_CHECK(work >= 0.0);
   advance();
-  jobs_.push(Job{virtual_clock_ + work, next_seq_++, work, alloc_done_slot(std::move(done))});
-  ++live_jobs_;
+  push_job(work, std::move(done));
   if (!in_callbacks_) {
     refresh_rates();
     reschedule();
@@ -208,8 +202,7 @@ void CpuScheduler::submit_with_thread_count(int n, double work, sim::EventFn don
   DCM_CHECK(n >= 0);
   advance();
   thread_count_ = n;
-  jobs_.push(Job{virtual_clock_ + work, next_seq_++, work, alloc_done_slot(std::move(done))});
-  ++live_jobs_;
+  push_job(work, std::move(done));
   if (!in_callbacks_) {
     refresh_rates();
     reschedule();
@@ -219,9 +212,7 @@ void CpuScheduler::submit_with_thread_count(int n, double work, sim::EventFn don
 void CpuScheduler::abort_all() {
   advance();
   while (!jobs_.empty()) {
-    const uint32_t slot = jobs_.top().done_slot;
-    done_slab_[slot].reset();  // drop the callback and its captures now
-    done_free_.push_back(slot);
+    done_.free(done_.handle(jobs_.top().done_slot));  // drop the callback and its captures now
     jobs_.pop();
   }
   live_jobs_ = 0;

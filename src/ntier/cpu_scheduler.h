@@ -32,6 +32,7 @@
 
 #include "model/concurrency_model.h"
 #include "sim/engine.h"
+#include "sim/slab.h"
 
 namespace dcm::ntier {
 
@@ -98,7 +99,7 @@ class CpuScheduler {
   const CpuModelConfig& config() const { return config_; }
 
  private:
-  /// 32-byte POD heap entry: the completion callback lives in done_slab_
+  /// 32-byte POD heap entry: the completion callback lives in done_
   /// (indexed by done_slot), so priority-queue sifts copy plain bytes
   /// instead of moving a std::function per level.
   struct Job {
@@ -131,7 +132,7 @@ class CpuScheduler {
   void maybe_reanchor();
   void reschedule();
   void on_completion_event();
-  uint32_t alloc_done_slot(sim::EventFn done);
+  void push_job(double work, sim::EventFn&& done);
 
   static constexpr double kReanchorVirtualClock = 4096.0;
 
@@ -139,10 +140,8 @@ class CpuScheduler {
   CpuModelConfig config_;
 
   std::priority_queue<Job, std::vector<Job>, LaterFinish> jobs_;
-  /// Completion callbacks for in-flight jobs, parallel to jobs_ via
-  /// Job::done_slot; freed slots are recycled through done_free_.
-  std::vector<sim::EventFn> done_slab_;
-  std::vector<uint32_t> done_free_;
+  /// Completion callbacks for in-flight jobs, indexed by Job::done_slot.
+  sim::Slab<sim::EventFn> done_;
   uint64_t live_jobs_ = 0;
   uint64_t next_seq_ = 0;
   int thread_count_ = 0;

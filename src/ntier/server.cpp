@@ -10,6 +10,14 @@
 
 namespace dcm::ntier {
 
+double jittered_backoff(double base_seconds, double multiplier, double jitter_fraction,
+                        int attempt, Rng& rng) {
+  const double base = base_seconds * std::pow(multiplier, attempt);
+  const double jitter =
+      jitter_fraction > 0.0 ? 1.0 + jitter_fraction * (2.0 * rng.next_double() - 1.0) : 1.0;
+  return std::max(0.0, base * jitter);
+}
+
 Server::Server(sim::Engine& engine, ServerConfig config, int depth, Rng rng)
     : engine_(&engine),
       config_(std::move(config)),
@@ -253,13 +261,8 @@ void Server::on_call_result(CallHandle ch, CallState& c, VisitState& v, bool ok)
     ++subrequest_retries_;
     // Exponential backoff with deterministic jitter; the connection stays
     // held across attempts (a blocked app thread keeps its pool slot).
-    const double base =
-        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, c.attempt);
-    const double jitter =
-        retry_.jitter_fraction > 0.0
-            ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
-            : 1.0;
-    const double delay = std::max(0.0, base * jitter);
+    const double delay = jittered_backoff(retry_.backoff_base_seconds, retry_.backoff_multiplier,
+                                          retry_.jitter_fraction, c.attempt, rng_);
     if (trace::TraceContext* tr = v.request->trace) {
       tr->add_span(trace::SpanKind::kBackoff, depth_, engine_->now(),
                    engine_->now() + sim::from_seconds(delay));

@@ -17,7 +17,7 @@
 // deadline is armed and a failure fails the edge at once.
 //
 // Hot-path storage: visits and (visit, edge) calls live in generation-counted
-// slabs owned by the server, not in per-visit shared_ptrs. Every
+// slabs (sim::Slab) owned by the server, not in per-visit shared_ptrs. Every
 // continuation captures [this, handle] — 16 bytes, inside std::function's
 // inline buffer — so the steady-state request path performs no heap
 // allocation on any topology. A freed slot bumps its generation, which makes
@@ -37,6 +37,7 @@
 #include "ntier/server_config.h"
 #include "ntier/slot_pool.h"
 #include "sim/engine.h"
+#include "sim/slab.h"
 
 namespace dcm::ntier {
 
@@ -64,6 +65,13 @@ struct SubRequestRetryPolicy {
   double backoff_multiplier = 2.0;
   double jitter_fraction = 0.2;
 };
+
+/// Jittered exponential backoff (seconds) before retry `attempt` + 1:
+/// base · multiplier^attempt · (1 + jitter_fraction · (2u − 1)), clamped at
+/// 0. Draws u from `rng` once, and only when jitter_fraction > 0. Shared by
+/// the server's sub-request retries and the client generator's retries.
+double jittered_backoff(double base_seconds, double multiplier, double jitter_fraction,
+                        int attempt, Rng& rng);
 
 class Server {
  public:
@@ -154,62 +162,6 @@ class Server {
   void set_idle_callback(std::function<void()> cb) { idle_callback_ = std::move(cb); }
 
  private:
-  /// Generation-counted free-list slab. A Handle is an 8-byte ticket that
-  /// goes stale (get returns nullptr) once its slot is freed or re-keyed.
-  template <typename T>
-  class Slab {
-   public:
-    struct Handle {
-      uint32_t index = 0;
-      uint32_t gen = 0;
-    };
-
-    Handle alloc() {
-      uint32_t idx = free_head_;
-      if (idx != kNil) {
-        free_head_ = slots_[idx].next_free;
-      } else {
-        idx = static_cast<uint32_t>(slots_.size());
-        slots_.emplace_back();
-      }
-      slots_[idx].live = true;
-      return {idx, slots_[idx].gen};
-    }
-    /// Resets the slot's value and makes every outstanding handle stale.
-    void free(Handle h) {
-      Slot& slot = slots_[h.index];
-      slot.live = false;
-      ++slot.gen;
-      slot.value = T{};
-      slot.next_free = free_head_;
-      free_head_ = h.index;
-    }
-    /// Keeps the slot live but makes every outstanding copy of `h` stale.
-    Handle rekey(Handle h) { return {h.index, ++slots_[h.index].gen}; }
-    /// nullptr if `h` is stale. Invalidated by alloc (slab growth) —
-    /// refetch after any call that can start new work on this server.
-    T* get(Handle h) {
-      Slot& slot = slots_[h.index];
-      return (slot.live && slot.gen == h.gen) ? &slot.value : nullptr;
-    }
-
-    uint32_t size() const { return static_cast<uint32_t>(slots_.size()); }
-    /// The live value at `index`, or nullptr.
-    T* at(uint32_t index) { return slots_[index].live ? &slots_[index].value : nullptr; }
-    Handle handle(uint32_t index) const { return {index, slots_[index].gen}; }
-
-   private:
-    static constexpr uint32_t kNil = 0xffffffffu;
-    struct Slot {
-      T value;
-      uint32_t gen = 0;
-      uint32_t next_free = kNil;
-      bool live = false;
-    };
-    std::vector<Slot> slots_;
-    uint32_t free_head_ = kNil;
-  };
-
   struct VisitState {
     uint64_t visit_id = 0;
     RequestPtr request;
@@ -225,7 +177,7 @@ class Server {
     sim::SimTime cpu_submitted = 0;
     double cpu_work = 0.0;
   };
-  using VisitHandle = Slab<VisitState>::Handle;
+  using VisitHandle = sim::Slab<VisitState>::Handle;
 
   /// The calls one visit makes along one out-edge: issued one at a time,
   /// each attempt settled by exactly one of {response, deadline}. The slot
@@ -244,7 +196,7 @@ class Server {
     sim::SimTime conn_requested = 0;
     sim::SimTime started = 0;
   };
-  using CallHandle = Slab<CallState>::Handle;
+  using CallHandle = sim::Slab<CallState>::Handle;
 
   struct Edge {
     Tier* target = nullptr;
@@ -300,8 +252,8 @@ class Server {
   uint64_t epoch_ = 0;  // crash count (crashed_since_start)
   uint64_t next_visit_id_ = 0;
 
-  Slab<VisitState> visits_;
-  Slab<CallState> calls_;
+  sim::Slab<VisitState> visits_;
+  sim::Slab<CallState> calls_;
   std::vector<std::pair<uint64_t, uint32_t>> crash_scratch_;  // (visit_id, slot)
 };
 

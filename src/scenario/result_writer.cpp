@@ -20,9 +20,22 @@ double bucket_sum(const std::vector<metrics::BucketStat>& buckets, size_t i) {
   return i < buckets.size() ? buckets[i].stat.sum() : 0.0;
 }
 
-// Minimal JSON string escaping: the fields we emit are identifiers, INI
-// values and human summaries — control characters, quotes and backslashes
-// are all that can occur.
+void print_actions(const core::ExperimentResult& result) {
+  for (const auto& action : result.actions) {
+    std::printf("  %8.1fs  %-7s %-10s %s\n", sim::to_seconds(action.time),
+                action.tier.c_str(), action.action.c_str(), action.detail.c_str());
+  }
+}
+
+// Span tiers map onto the run's tier names; kClientTier is the client side.
+std::string trace_tier_name(const core::ExperimentResult& result, int tier) {
+  if (tier < 0) return "client";
+  if (static_cast<size_t>(tier) < result.tiers.size()) return result.tiers[tier].name;
+  return "tier" + std::to_string(tier);
+}
+
+}  // namespace
+
 std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
@@ -44,26 +57,7 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-std::string json_number(double value) {
-  // %.17g round-trips IEEE doubles; summaries are data, not display.
-  return str_format("%.17g", value);
-}
-
-void print_actions(const core::ExperimentResult& result) {
-  for (const auto& action : result.actions) {
-    std::printf("  %8.1fs  %-7s %-10s %s\n", sim::to_seconds(action.time),
-                action.tier.c_str(), action.action.c_str(), action.detail.c_str());
-  }
-}
-
-// Span tiers map onto the run's tier names; kClientTier is the client side.
-std::string trace_tier_name(const core::ExperimentResult& result, int tier) {
-  if (tier < 0) return "client";
-  if (static_cast<size_t>(tier) < result.tiers.size()) return result.tiers[tier].name;
-  return "tier" + std::to_string(tier);
-}
-
-}  // namespace
+std::string json_number(double value) { return str_format("%.17g", value); }
 
 void Fnv1a::mix_bytes(const void* data, size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -40,6 +41,14 @@ class Fnv1a {
 
 /// Mixes a bucketed series: size, then per bucket start/count/mean/min/max.
 void mix_series(Fnv1a& h, const metrics::TimeSeries& series);
+
+/// Minimal JSON string escaping: the fields the writers emit are
+/// identifiers, INI values and human summaries — control characters, quotes
+/// and backslashes are all that can occur.
+std::string json_escape(std::string_view text);
+
+/// %.17g: round-trips IEEE doubles; summaries are data, not display.
+std::string json_number(double value);
 
 /// Digest of one experiment's full observable trace.
 uint64_t result_digest(const core::ExperimentResult& result);

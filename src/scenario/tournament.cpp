@@ -14,30 +14,6 @@
 namespace dcm::scenario {
 namespace {
 
-// Mirrors result_writer.cpp: identifiers and INI values only.
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) { return str_format("%.17g", value); }
-
 // Lexicographic scorecard order: quality, then cost, then stability, then
 // name (the deterministic tie-break).
 bool cell_beats(const TournamentCell& a, const TournamentCell& b) {

@@ -21,7 +21,7 @@ void EventHandle::cancel() {
       static_cast<EventQueue*>(owner_)->cancel(slot_, generation_);
       return;
     case Kind::kPeriodic:
-      static_cast<Engine*>(owner_)->cancel_periodic(slot_, generation_);
+      static_cast<Engine*>(owner_)->cancel_periodic({slot_, generation_});
       return;
   }
 }
@@ -41,61 +41,38 @@ bool Engine::retime_after(const EventHandle& handle, SimTime delay) {
   return queue_.retime(handle, now_ + delay);
 }
 
-uint32_t Engine::alloc_periodic_slot() {
-  if (periodic_free_head_ != kNilSlot) {
-    const uint32_t slot = periodic_free_head_;
-    periodic_free_head_ = periodics_[slot].next_free;
-    periodics_[slot].next_free = kNilSlot;
-    return slot;
-  }
-  DCM_CHECK_MSG(periodics_.size() < kNilSlot, "periodic slab exhausted");
-  periodics_.emplace_back();
-  return static_cast<uint32_t>(periodics_.size() - 1);
-}
-
 EventHandle Engine::schedule_periodic(SimTime period, EventFn fn) {
   DCM_CHECK_MSG(period > 0, "periodic task needs positive period");
-  const uint32_t slot = alloc_periodic_slot();
-  PeriodicTask& task = periodics_[slot];
+  const PeriodicHandle h = periodics_.alloc();
+  PeriodicTask& task = *periodics_.get(h);
   task.fn = std::move(fn);
   task.period = period;
-  task.live = true;
-  const uint32_t generation = task.generation;
-  task.pending =
-      schedule_after(period, [this, slot, generation] { fire_periodic(slot, generation); });
-  return EventHandle(this, slot, generation, EventHandle::Kind::kPeriodic);
+  task.pending = schedule_after(period, [this, h] { fire_periodic(h); });
+  return EventHandle(this, h.index, h.gen, EventHandle::Kind::kPeriodic);
 }
 
-void Engine::fire_periodic(uint32_t slot, uint32_t generation) {
-  {
-    const PeriodicTask& task = periodics_[slot];
-    if (!task.live || task.generation != generation) return;
-  }
+void Engine::fire_periodic(PeriodicHandle h) {
+  if (periodics_.get(h) == nullptr) return;
   // The callable is moved out for the duration of the call so that a
   // cancel() from inside it (or a slab growth it triggers) cannot destroy
   // or relocate it mid-invocation.
-  EventFn body = std::move(periodics_[slot].fn);
+  EventFn body = std::move(periodics_.get(h)->fn);
   body();
-  PeriodicTask& task = periodics_[slot];  // re-lookup: body() may grow the slab
-  if (task.live && task.generation == generation) {
-    task.fn = std::move(body);
-    task.pending =
-        schedule_after(task.period, [this, slot, generation] { fire_periodic(slot, generation); });
+  // Re-lookup: body() may grow the slab, or cancel the chain.
+  if (PeriodicTask* task = periodics_.get(h)) {
+    task->fn = std::move(body);
+    task->pending = schedule_after(task->period, [this, h] { fire_periodic(h); });
   }
   // else: cancelled from inside body(); captured state dies with `body` here.
 }
 
-void Engine::cancel_periodic(uint32_t slot, uint32_t generation) {
-  if (slot >= periodics_.size()) return;
-  PeriodicTask& task = periodics_[slot];
-  if (!task.live || task.generation != generation) return;
-  task.live = false;
-  ++task.generation;
-  task.pending.cancel();
-  task.pending = EventHandle();
-  task.fn.reset();  // empty if we are inside fire_periodic; the moved-out body cleans up
-  task.next_free = periodic_free_head_;
-  periodic_free_head_ = slot;
+void Engine::cancel_periodic(PeriodicHandle h) {
+  PeriodicTask* task = periodics_.get(h);
+  if (task == nullptr) return;
+  task->pending.cancel();
+  // Destroys the callable, or nothing if we are inside fire_periodic (the
+  // moved-out body cleans up).
+  periodics_.free(h);
 }
 
 void Engine::run_until(SimTime end) {

@@ -7,10 +7,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "sim/arena.h"
 #include "sim/event_queue.h"
+#include "sim/slab.h"
 #include "sim/time.h"
 
 namespace dcm::sim {
@@ -65,7 +65,6 @@ class Engine {
 
  private:
   friend class EventHandle;
-  static constexpr uint32_t kNilSlot = 0xffffffffu;
 
   // Periodic chains live in an engine-owned slab: the callable is stored
   // once here (never copied into the queue) and each tick schedules a thin
@@ -76,14 +75,11 @@ class Engine {
     EventFn fn;
     SimTime period = 0;
     EventHandle pending;  // the currently scheduled tick
-    uint32_t generation = 0;
-    uint32_t next_free = kNilSlot;
-    bool live = false;
   };
+  using PeriodicHandle = Slab<PeriodicTask>::Handle;
 
-  void fire_periodic(uint32_t slot, uint32_t generation);
-  void cancel_periodic(uint32_t slot, uint32_t generation);
-  uint32_t alloc_periodic_slot();
+  void fire_periodic(PeriodicHandle h);
+  void cancel_periodic(PeriodicHandle h);
 
   // First member on purpose: destroyed LAST, after queue_ has released any
   // pending callbacks that still hold arena-backed shared_ptrs.
@@ -91,8 +87,7 @@ class Engine {
   EventQueue queue_;
   SimTime now_ = 0;
   uint64_t dispatched_ = 0;
-  std::vector<PeriodicTask> periodics_;
-  uint32_t periodic_free_head_ = kNilSlot;
+  Slab<PeriodicTask> periodics_;
 };
 
 }  // namespace dcm::sim

@@ -4,29 +4,19 @@
 
 namespace dcm::sim {
 
-uint32_t EventQueue::alloc_slot() {
-  if (free_head_ != kNilSlot) {
-    const uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].next_free = kNilSlot;
-    return slot;
-  }
+void EventQueue::grow_pos() {
   // Heap indices share their word with the band bit, so the slab (which
   // bounds every heap's size) stays below it.
-  DCM_CHECK_MSG(slots_.size() < kFarBit, "event slab exhausted");
-  slots_.emplace_back();
+  DCM_CHECK_MSG(pos_.size() < kFarBit, "event slab exhausted");
   pos_.push_back(0);
-  return static_cast<uint32_t>(slots_.size() - 1);
 }
 
 void EventQueue::cancel(uint32_t slot, uint32_t generation) {
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (s.generation != generation) return;  // already fired, cancelled, or reused
-  // Move the callable out first and let it die after the heap is consistent
-  // again: destroying its captures may cancel or schedule other events.
-  const EventFn dead = std::move(s.fn);
-  free_slot(slot);
+  if (fns_.get({slot, generation}) == nullptr) return;  // already fired, cancelled, or reused
+  // The callable dies after the heap is consistent again: destroying its
+  // captures may cancel or schedule other events.
+  EventFn dead;
+  fns_.take({slot, generation}, dead);
   const uint32_t pos = pos_[slot];
   erase_at((pos & kFarBit) != 0 ? far_ : near_, pos & ~kFarBit);
 }
@@ -38,7 +28,7 @@ bool EventQueue::retime(const EventHandle& handle, SimTime at) {
   }
   DCM_CHECK_MSG(handle.owner_ == this, "retime through another queue's handle");
   const uint32_t slot = handle.slot_;
-  if (slots_[slot].generation != handle.generation_) return false;  // fired or cancelled
+  if (fns_.get({slot, handle.generation_}) == nullptr) return false;  // fired or cancelled
   const uint32_t pos = pos_[slot];
   std::vector<Entry>& from = (pos & kFarBit) != 0 ? far_ : near_;
   std::vector<Entry>& to = band_for(at);

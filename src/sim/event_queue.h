@@ -9,7 +9,7 @@
 //  - EventFn is a small-buffer-optimized move-only callable: captures up to
 //    kInlineCapacity bytes live inline, larger ones fall back to the heap.
 //  - Handles are generation-counted: each scheduled event borrows a slot
-//    from a slab; the handle remembers (slot, generation) and a stale
+//    from a sim::Slab; the handle remembers (slot, generation) and a stale
 //    generation makes cancel()/retime() a no-op. No per-event shared_ptr.
 //  - The pending set is an owned vector-backed 4-ary min-heap whose entries
 //    are 24-byte PODs (the callable stays in the slab), so sift operations
@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/slab.h"
 #include "sim/time.h"
 
 namespace dcm::sim {
@@ -195,11 +196,11 @@ class EventQueue {
   /// tens of entries instead of one inflated by every pending think-time and
   /// periodic timer, which cuts the per-event compare/copy depth.
   EventHandle schedule(SimTime at, EventFn fn) {
-    const uint32_t slot = alloc_slot();
-    Slot& s = slots_[slot];
-    s.fn = std::move(fn);
-    push(Entry{at, next_seq_++, slot});
-    return EventHandle(this, slot, s.generation, EventHandle::Kind::kEvent);
+    const FnSlab::Handle h = fns_.alloc();
+    if (h.index == pos_.size()) grow_pos();
+    *fns_.get(h) = std::move(fn);
+    push(Entry{at, next_seq_++, h.index});
+    return EventHandle(this, h.index, h.gen, EventHandle::Kind::kEvent);
   }
 
   /// Moves the live event behind `handle` to absolute time `at`, keeping its
@@ -241,8 +242,7 @@ class EventQueue {
     const Entry top = h.front();
     if (top.time > horizon) return false;
     out.time = top.time;
-    out.fn = std::move(slots_[top.slot].fn);
-    free_slot(top.slot);
+    fns_.take(fns_.handle(top.slot), out.fn);
     now_floor_ = top.time;
     erase_at(h, 0);
     return true;
@@ -254,7 +254,6 @@ class EventQueue {
 
  private:
   static constexpr size_t kArity = 4;  // 4-ary heap: shallower, cache-friendlier
-  static constexpr uint32_t kNilSlot = 0xffffffffu;
   /// Band bit of a position-index word; the low 31 bits are the heap index.
   static constexpr uint32_t kFarBit = 0x80000000u;
   /// Band boundary for the near/far heap split: events aiming further than
@@ -271,11 +270,7 @@ class EventQueue {
     uint64_t seq;
     uint32_t slot;
   };
-  struct Slot {
-    EventFn fn;
-    uint32_t generation = 0;
-    uint32_t next_free = kNilSlot;
-  };
+  using FnSlab = Slab<EventFn>;
 
   static bool before(const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -285,15 +280,7 @@ class EventQueue {
   // The helpers below are defined inline: they sit on the per-event hot path
   // and the simulator's throughput is bounded by how fast they run.
 
-  uint32_t alloc_slot();  // out-of-line: grows the slab on a cold miss
-
-  void free_slot(uint32_t slot) {
-    Slot& s = slots_[slot];
-    // Bumping the generation invalidates every outstanding handle.
-    ++s.generation;
-    s.next_free = free_head_;
-    free_head_ = slot;
-  }
+  void grow_pos();  // out-of-line: the slab grew on a cold miss
 
   std::vector<Entry>& band_for(SimTime at) {
     return (at - now_floor_) > kFarDelay ? far_ : near_;
@@ -372,14 +359,13 @@ class EventQueue {
 
   std::vector<Entry> near_;
   std::vector<Entry> far_;
-  std::vector<Slot> slots_;
-  /// Position index, parallel to slots_: heap index | band bit of the slot's
+  FnSlab fns_;
+  /// Position index, parallel to fns_: heap index | band bit of the slot's
   /// entry. Meaningful only while the slot holds a pending event.
   std::vector<uint32_t> pos_;
   /// Time of the last popped event — a monotone floor of "now" used to band
   /// incoming schedules by delay without a back-pointer to the engine.
   SimTime now_floor_ = 0;
-  uint32_t free_head_ = kNilSlot;
   uint64_t next_seq_ = 0;
 };
 

@@ -1,9 +1,7 @@
 #include "workload/closed_loop.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
+#include "ntier/server.h"
 #include "trace/tracer.h"
 
 namespace dcm::workload {
@@ -84,22 +82,15 @@ void ClosedLoopGenerator::set_user_count(int users) {
 void ClosedLoopGenerator::spawn_user(sim::SimTime initial_delay) {
   // A newcomer takes a parked user's slot when there is one, so users_ stays
   // bounded by the peak live population however long the run ramps.
-  int user_index;
-  if (free_users_.empty()) {
-    user_index = static_cast<int>(users_.size());
-    users_.emplace_back();
-  } else {
-    user_index = free_users_.back();
-    free_users_.pop_back();
-  }
+  const UserHandle h = users_.alloc();
   ++live_users_;
-  engine_->schedule_after(initial_delay, [this, user_index] { user_cycle(user_index); });
+  engine_->schedule_after(initial_delay, [this, h] { user_cycle(h); });
 }
 
-void ClosedLoopGenerator::user_cycle(int user_index, double prior_think) {
+void ClosedLoopGenerator::user_cycle(UserHandle h, double prior_think) {
   if (!running_ || live_users_ > target_users_) {
     --live_users_;
-    free_users_.push_back(user_index);
+    users_.free(h);
     return;
   }
   const sim::SimTime issued = engine_->now();
@@ -112,98 +103,88 @@ void ClosedLoopGenerator::user_cycle(int user_index, double prior_think) {
                                prior_think);
     }
   }
-  UserSlot& slot = users_[static_cast<size_t>(user_index)];
+  UserSlot& slot = *users_.get(h);
   slot.first_issued = issued;
   slot.servlet = request->servlet;
   slot.attempt = 0;
   slot.request = std::move(request);
-  issue_attempt(user_index);
+  issue_attempt(h);
 }
 
-void ClosedLoopGenerator::issue_attempt(int user_index) {
-  UserSlot& slot = users_[static_cast<size_t>(user_index)];
-  const uint32_t generation = ++slot.generation;
-  slot.settled = false;
+void ClosedLoopGenerator::issue_attempt(UserHandle h) {
+  UserSlot& slot = *users_.get(h);
   if (trace::TraceContext* tr = slot.request->trace) tr->attempts = slot.attempt + 1;
-  app_->submit(slot.request, [this, user_index, generation](bool ok) {
-    on_response(user_index, generation, ok);
-  });
+  app_->submit(slot.request, [this, h](bool ok) { on_response(h, ok); });
   // The submit can settle the attempt synchronously (the front tier has no
-  // server in service) — arm the deadline only if it is still pending. No
-  // user is spawned inside submit, so `slot` is still valid here.
-  if (retry_.timeout_seconds <= 0.0 || slot.settled) return;
-  slot.deadline = engine_->schedule_after(
-      sim::from_seconds(retry_.timeout_seconds),
-      [this, user_index, generation] { on_deadline(user_index, generation); });
+  // server in service), which re-keys the slot — arm the deadline only if
+  // the attempt is still pending. No user is spawned inside submit, so
+  // `slot` is still valid here.
+  if (retry_.timeout_seconds <= 0.0 || users_.get(h) == nullptr) return;
+  slot.deadline = engine_->schedule_after(sim::from_seconds(retry_.timeout_seconds),
+                                          [this, h] { on_deadline(h); });
 }
 
-void ClosedLoopGenerator::on_response(int user_index, uint32_t generation, bool ok) {
-  UserSlot& slot = users_[static_cast<size_t>(user_index)];
+void ClosedLoopGenerator::on_response(UserHandle h, bool ok) {
   // Deadline already expired, or a later attempt (or user) owns the slot:
   // drop the late response.
-  if (slot.generation != generation || slot.settled) return;
-  slot.settled = true;
+  if (users_.get(h) == nullptr) return;
+  h = users_.rekey(h);
+  UserSlot& slot = *users_.get(h);
   slot.deadline.cancel();
   if (!ok) {
-    on_attempt_failed(user_index);
+    on_attempt_failed(h);
     return;
   }
   const sim::SimTime now = engine_->now();
   stats_.record_completion(now, sim::to_seconds(now - slot.first_issued), slot.servlet);
   if (trace::TraceContext* tr = slot.request->trace) tr->finalize(now, true);
-  finish_cycle(user_index);
+  finish_cycle(h);
 }
 
-void ClosedLoopGenerator::on_deadline(int user_index, uint32_t generation) {
-  UserSlot& slot = users_[static_cast<size_t>(user_index)];
-  if (slot.generation != generation || slot.settled) return;  // response won the race
-  slot.settled = true;
+void ClosedLoopGenerator::on_deadline(UserHandle h) {
+  if (users_.get(h) == nullptr) return;  // response won the race
+  h = users_.rekey(h);
   const sim::SimTime now = engine_->now();
   stats_.record_timeout(now);
-  if (trace::TraceContext* tr = slot.request->trace) {
+  if (trace::TraceContext* tr = users_.get(h)->request->trace) {
     tr->add_span(trace::SpanKind::kTimeoutWait, trace::kClientTier,
                  now - sim::from_seconds(retry_.timeout_seconds), now);
   }
-  on_attempt_failed(user_index);
+  on_attempt_failed(h);
 }
 
-void ClosedLoopGenerator::on_attempt_failed(int user_index) {
-  UserSlot& slot = users_[static_cast<size_t>(user_index)];
+void ClosedLoopGenerator::on_attempt_failed(UserHandle h) {
+  UserSlot& slot = *users_.get(h);
   trace::TraceContext* tr = slot.request->trace;
   if (slot.attempt < retry_.max_retries) {
     stats_.record_retry();
-    const double base =
-        retry_.backoff_base_seconds * std::pow(retry_.backoff_multiplier, slot.attempt);
-    const double jitter =
-        retry_.jitter_fraction > 0.0
-            ? 1.0 + retry_.jitter_fraction * (2.0 * rng_.next_double() - 1.0)
-            : 1.0;
-    const double delay = std::max(0.0, base * jitter);
+    const double delay = ntier::jittered_backoff(retry_.backoff_base_seconds,
+                                                 retry_.backoff_multiplier,
+                                                 retry_.jitter_fraction, slot.attempt, rng_);
     if (tr != nullptr) {
       tr->add_span(trace::SpanKind::kBackoff, trace::kClientTier, engine_->now(),
                    engine_->now() + sim::from_seconds(delay));
     }
     ++slot.attempt;
-    // The slot stays settled through the backoff, so nothing but this
-    // continuation can touch it before the re-issue.
-    engine_->schedule_after(sim::from_seconds(delay),
-                            [this, user_index] { issue_attempt(user_index); });
+    // The settled attempt's continuations are stale, so nothing but this
+    // one can touch the slot before the re-issue.
+    engine_->schedule_after(sim::from_seconds(delay), [this, h] { issue_attempt(h); });
     return;
   }
   stats_.record_error(engine_->now());
   if (tr != nullptr) tr->finalize(engine_->now(), false);
-  finish_cycle(user_index);
+  finish_cycle(h);
 }
 
-void ClosedLoopGenerator::finish_cycle(int user_index) {
+void ClosedLoopGenerator::finish_cycle(UserHandle h) {
   // Drop the request as the cycle ends: a thinking user pins no request
   // memory.
-  users_[static_cast<size_t>(user_index)].request.reset();
+  users_.get(h)->request.reset();
   const double think = think_time_ ? think_time_->sample(rng_) : 0.0;
   // Always reschedule through the engine — a zero think time must not
   // recurse synchronously.
   engine_->schedule_after(sim::from_seconds(think),
-                          [this, user_index, think] { user_cycle(user_index, think); });
+                          [this, h, think] { user_cycle(h, think); });
 }
 
 std::unique_ptr<ClosedLoopGenerator> make_jmeter(sim::Engine& engine, ntier::NTierApp& app,

@@ -14,10 +14,10 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "ntier/app.h"
 #include "sim/distributions.h"
+#include "sim/slab.h"
 #include "workload/client_stats.h"
 #include "workload/servlet.h"
 
@@ -105,36 +105,33 @@ class ClosedLoopGenerator {
   size_t user_slot_count() const { return users_.size(); }
 
  private:
-  void spawn_user(sim::SimTime initial_delay);
-  /// `prior_think` is the think-time (seconds) the user just finished, so a
-  /// newly sampled trace can record it as a leading kThink span; < 0 means
-  /// "first request, no preceding think".
-  void user_cycle(int user_index, double prior_think = -1.0);
-  void issue_attempt(int user_index);
-  void on_response(int user_index, uint32_t generation, bool ok);
-  void on_deadline(int user_index, uint32_t generation);
-  void on_attempt_failed(int user_index);
-  void finish_cycle(int user_index);
-
   /// One user's in-flight request, across all of its attempts. Keeping it
   /// here instead of in the continuations shrinks the response and deadline
-  /// callbacks to [this, user_index, generation] and the backoff to
-  /// [this, user_index] — inside std::function's and EventFn's inline
-  /// buffers — so issuing,
-  /// timing out and retrying a request perform no heap allocation. Each
-  /// attempt bumps `generation`, and a continuation carrying an older one
-  /// is a no-op: exactly one of {response, deadline} settles an attempt,
-  /// and a late response never reaches a later attempt or a later user of
-  /// the recycled slot (the generation is never reset).
+  /// callbacks to [this, handle] — inside std::function's and EventFn's
+  /// inline buffers — so issuing, timing out and retrying a request perform
+  /// no heap allocation. Whichever of {response, deadline} settles an
+  /// attempt re-keys the slot, so the other finds a stale handle and is a
+  /// no-op; a late response never reaches a later attempt or a later user
+  /// of the recycled slot.
   struct UserSlot {
     ntier::RequestPtr request;  // null between cycles
     sim::SimTime first_issued = 0;
     sim::EventHandle deadline;
-    uint32_t generation = 0;
     int servlet = -1;
     int attempt = 0;
-    bool settled = true;
   };
+  using UserHandle = sim::Slab<UserSlot>::Handle;
+
+  void spawn_user(sim::SimTime initial_delay);
+  /// `prior_think` is the think-time (seconds) the user just finished, so a
+  /// newly sampled trace can record it as a leading kThink span; < 0 means
+  /// "first request, no preceding think".
+  void user_cycle(UserHandle h, double prior_think = -1.0);
+  void issue_attempt(UserHandle h);
+  void on_response(UserHandle h, bool ok);
+  void on_deadline(UserHandle h);
+  void on_attempt_failed(UserHandle h);
+  void finish_cycle(UserHandle h);
 
   sim::Engine* engine_;
   ntier::NTierApp* app_;
@@ -148,8 +145,7 @@ class ClosedLoopGenerator {
   bool running_ = false;
   int target_users_ = 0;
   int live_users_ = 0;  // users currently looping (in-flight or thinking)
-  std::vector<UserSlot> users_;
-  std::vector<int> free_users_;  // slots of parked users, reused by spawn_user
+  sim::Slab<UserSlot> users_;  // a parked user's slot is reused by spawn_user
   ClientStats stats_;
 };
 

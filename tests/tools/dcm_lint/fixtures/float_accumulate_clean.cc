@@ -1,6 +1,6 @@
 // Fixture: no-unanchored-float-accumulate negative — three deterministic
 // shapes: a per-call local accumulator, a member with a re-anchoring
-// assignment elsewhere in the file (the SlidingRate pattern), and a
+// assignment elsewhere in the file (the CpuScheduler pattern), and a
 // non-loop member update.
 #include <vector>
 

@@ -1,7 +1,7 @@
 // Fixture: no-unanchored-float-accumulate positive — a long-lived double
 // updated incrementally inside a loop, with no re-anchoring assignment
-// anywhere in the file. The drift this rule hunts was fixed by hand twice
-// (SlidingRate, CpuScheduler) before it became a rule.
+// anywhere in the file. The drift this rule hunts was fixed by hand (the
+// CpuScheduler virtual-clock re-anchor) before it became a rule.
 #include <vector>
 
 class RateTracker {

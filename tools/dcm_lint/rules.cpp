@@ -399,9 +399,9 @@ class NoPointerKeyedOrder final : public Rule {
 // no-unanchored-float-accumulate: incrementally updating a long-lived
 // float/double (`sum_ += x` on add, `sum_ -= x` on evict) drifts away from
 // the value a fresh recompute would give, and the drift is
-// evaluation-order-dependent — the exact bug class fixed by hand in
-// SlidingRate (re-anchor `sum_ = 0.0` on empty window) and CpuScheduler
-// (virtual-clock re-anchor). The rule fires on += / -= applied inside a loop
+// evaluation-order-dependent — the exact bug class CpuScheduler fixes by
+// hand (maybe_reanchor: once idle, the virtual clock and the work integral
+// are reset to exact values). The rule fires on += / -= applied inside a loop
 // to a float variable that outlives the enclosing function (class member or
 // namespace-scope), unless the file re-anchors the variable with a plain
 // assignment somewhere. Per-call local accumulators are deterministic and
@@ -449,7 +449,7 @@ class NoUnanchoredFloatAccumulate final : public Rule {
                      "' accumulates " + std::string(ts[op].text) +
                      " in a loop with no re-anchoring assignment; incremental float "
                      "state drifts from the recomputed value (re-anchor like "
-                     "SlidingRate/CpuScheduler, or recompute)");
+                     "CpuScheduler's virtual clock, or recompute)");
         }
       }
     }
