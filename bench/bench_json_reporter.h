@@ -2,7 +2,8 @@
 //
 // Emits a compact, diff-friendly BENCH_micro.json next to the working
 // directory (override with DCM_BENCH_JSON=/path). One object per benchmark
-// run with ns/op and items/s, so successive PRs can be compared with a
+// run with ns/op, items/s and any other user counter the benchmark sets
+// (such as a layout figure), so successive PRs can be compared with a
 // one-line jq against the committed baseline (see README, "Microbenchmark
 // trajectory").
 #pragma once
@@ -11,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dcm::bench {
@@ -31,8 +33,13 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
       Row row;
       row.name = run.benchmark_name();
       row.ns_per_op = run.GetAdjustedRealTime();  // benchmarks use ns time units
-      const auto items = run.counters.find("items_per_second");
-      row.items_per_second = items != run.counters.end() ? items->second.value : 0.0;
+      for (const auto& [name, counter] : run.counters) {
+        if (name == "items_per_second") {
+          row.items_per_second = counter.value;
+        } else {
+          row.counters.emplace_back(name, counter.value);  // e.g. a layout figure
+        }
+      }
       rows_.push_back(std::move(row));
     }
   }
@@ -46,10 +53,13 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
     }
     std::fprintf(f, "{\n  \"schema\": \"dcm-bench-v1\",\n  \"benchmarks\": [\n");
     for (size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"items_per_second\": %.0f}%s\n",
+      std::fprintf(f, "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"items_per_second\": %.0f",
                    escaped(rows_[i].name).c_str(), rows_[i].ns_per_op,
-                   rows_[i].items_per_second, i + 1 < rows_.size() ? "," : "");
+                   rows_[i].items_per_second);
+      for (const auto& [name, value] : rows_[i].counters) {
+        std::fprintf(f, ", \"%s\": %.6g", escaped(name).c_str(), value);
+      }
+      std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -60,6 +70,7 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
     std::string name;
     double ns_per_op = 0.0;
     double items_per_second = 0.0;
+    std::vector<std::pair<std::string, double>> counters;  // other user counters
   };
 
   static std::string escaped(const std::string& s) {

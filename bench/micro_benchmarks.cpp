@@ -16,6 +16,8 @@
 #include "model/concurrency_model.h"
 #include "ntier/cpu_scheduler.h"
 #include "ntier/metric_sample.h"
+#include "ntier/request.h"
+#include "ntier/server.h"
 #include "ntier/slot_pool.h"
 #include "scenario/result_writer.h"
 #include "scenario/sweep.h"
@@ -177,6 +179,46 @@ void BM_CpuSchedulerChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(completed));
 }
 BENCHMARK(BM_CpuSchedulerChurn)->Arg(8)->Arg(64)->Arg(256);
+
+/// Completion callback of the backlog benchmark: every finished visit
+/// re-issues the same request, so the backlog never drains. Two pointers, so
+/// it stays inside std::function's inline buffer.
+struct Reissue {
+  dcm::ntier::Server* server;
+  const dcm::ntier::RequestPtr* request;
+  void operator()(bool /*ok*/) const { server->process(*request, *this); }
+};
+
+/// A saturated one-thread leaf server with N visits queued on its worker
+/// pool. An iteration is one service time: one visit completes, the head of
+/// the queue is granted the worker, and the completion enqueues a new visit
+/// at the tail. ns_per_op is the cost of that enqueue-and-grant cycle (with
+/// its CPU job) at backlog depth N; bytes_per_queued_visit is what one queued
+/// visit holds: its visit-slab slot plus its worker-pool waiter.
+void BM_ServerBacklog(benchmark::State& state) {
+  const int backlog = static_cast<int>(state.range(0));
+  constexpr double kServiceSeconds = 1e-3;  // exact in ns: one visit per step
+  dcm::sim::Engine engine;
+  dcm::ntier::ServerConfig config;
+  config.cpu.params = {kServiceSeconds, 0.0, 0.0};
+  config.max_threads = 1;
+  dcm::ntier::Server server(engine, config, 0, dcm::Rng(7));
+  const dcm::ntier::RequestPtr request = dcm::ntier::make_request_context(&engine.arena());
+  request->demand_scale.push_back(1.0);
+  for (int i = 0; i <= backlog; ++i) server.process(request, Reissue{&server, &request});
+  const dcm::sim::SimTime step = dcm::sim::from_seconds(kServiceSeconds);
+  dcm::sim::SimTime horizon = 0;
+  const uint64_t completed_before = server.completed();
+  for (auto _ : state) {
+    horizon += step;
+    engine.run_until(horizon);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(server.completed() - completed_before));
+  state.counters["bytes_per_queued_visit"] = static_cast<double>(
+      dcm::ntier::Server::visit_slot_bytes() + dcm::ntier::SlotPool::waiter_bytes());
+  if (server.queue_length() != backlog) state.SkipWithError("backlog drifted");
+}
+BENCHMARK(BM_ServerBacklog)->Arg(64)->Arg(4096);
 
 /// Records one traced-workload-shaped trace: 25 spans over a three-tier
 /// chain (balancer picks, pool/connection waits, CPU service and run-queue

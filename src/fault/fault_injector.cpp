@@ -15,8 +15,10 @@ FaultInjector::FaultInjector(sim::Engine& engine, ntier::NTierApp& app, bus::Bro
 
 void FaultInjector::arm() {
   armed_.reserve(plan_.events.size());
+  // plan_ never changes after construction, so each event is captured by
+  // reference: the callable stays within EventFn's inline buffer.
   for (const FaultEvent& event : plan_.events) {
-    armed_.push_back(engine_->schedule_at(event.at, [this, event] { inject(event); }));
+    armed_.push_back(engine_->schedule_at(event.at, [this, &event] { inject(event); }));
   }
 }
 

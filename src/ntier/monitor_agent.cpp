@@ -66,7 +66,11 @@ bool MonitorAgent::silenced() const { return engine_->now() < silenced_until_; }
 
 void MonitorAgent::tick() {
   if (vm_->state() == VmState::kStopped || vm_->state() == VmState::kFailed) {
-    return;  // dead VMs report nothing (their agent died with them)
+    // Dead VMs report nothing: their agent died with them. Both states are
+    // final, so the timer goes too rather than ticking a no-op every period
+    // until the run ends.
+    timer_.cancel();
+    return;
   }
   if (silenced()) return;  // fault-injected agent silence
   const MetricSample sample = collect();

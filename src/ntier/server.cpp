@@ -167,7 +167,7 @@ void Server::on_cpu_done_pre(VisitHandle h) {
     const CallHandle ch = calls_.alloc();
     CallState& c = *calls_.get(ch);
     c.visit = h;
-    c.edge = static_cast<int>(i);
+    c.edge = static_cast<uint8_t>(i);
     c.calls = calls;
     start_call(ch, c, *v);
   }
@@ -182,7 +182,7 @@ void Server::on_cpu_done_pre(VisitHandle h) {
 void Server::start_call(CallHandle ch, CallState& c, const VisitState& v) {
   c.attempt = 0;
   c.conn_requested = engine_->now();
-  SlotPool* pool = edges_[static_cast<size_t>(c.edge)].pool.get();
+  SlotPool* pool = edges_[c.edge].pool.get();
   if (pool == nullptr) {
     dispatch_call(ch, c, v);
     return;
@@ -197,17 +197,16 @@ void Server::on_conn_granted(CallHandle ch) {
   c.awaiting_conn = false;
   c.conn_held = true;
   if (trace::TraceContext* tr = v.request->trace) {
-    tr->add_edge_span(trace::SpanKind::kConnWait, depth_,
-                      edges_[static_cast<size_t>(c.edge)].edge_id, c.conn_requested,
-                      engine_->now());
+    tr->add_edge_span(trace::SpanKind::kConnWait, depth_, edges_[c.edge].edge_id,
+                      c.conn_requested, engine_->now());
   }
   dispatch_call(ch, c, v);
 }
 
 void Server::dispatch_call(CallHandle ch, CallState& c, const VisitState& v) {
   c.started = engine_->now();
-  edges_[static_cast<size_t>(c.edge)].target->dispatch(
-      v.request, [this, ch](bool ok) { on_call_response(ch, ok); });
+  edges_[c.edge].target->dispatch(v.request,
+                                  [this, ch](bool ok) { on_call_response(ch, ok); });
   // The dispatch can settle the attempt synchronously (downstream rejects),
   // which re-keys the call — arm the deadline only if it is still pending.
   if (retry_.timeout_seconds <= 0.0) return;
@@ -231,8 +230,8 @@ void Server::on_call_response(CallHandle ch, bool ok) {
   VisitState* v = live_visit_or_free(ch, *c);
   if (v == nullptr) return;  // server crashed while the call was in flight
   if (trace::TraceContext* tr = v->request->trace) {
-    tr->add_edge_span(trace::SpanKind::kDownstream, depth_,
-                      edges_[static_cast<size_t>(c->edge)].edge_id, c->started, engine_->now());
+    tr->add_edge_span(trace::SpanKind::kDownstream, depth_, edges_[c->edge].edge_id,
+                      c->started, engine_->now());
   }
   on_call_result(ch, *c, *v, ok);
 }
@@ -245,8 +244,8 @@ void Server::on_call_timeout(CallHandle ch) {
   if (v == nullptr) return;
   ++subrequest_timeouts_;
   if (trace::TraceContext* tr = v->request->trace) {
-    tr->add_edge_span(trace::SpanKind::kTimeoutWait, depth_,
-                      edges_[static_cast<size_t>(c->edge)].edge_id, c->started, engine_->now());
+    tr->add_edge_span(trace::SpanKind::kTimeoutWait, depth_, edges_[c->edge].edge_id,
+                      c->started, engine_->now());
   }
   on_call_result(ch, *c, *v, false);
 }
@@ -275,7 +274,7 @@ void Server::on_call_result(CallHandle ch, CallState& c, VisitState& v, bool ok)
   const VisitState* visit = &v;
   if (call->conn_held) {
     call->conn_held = false;
-    edges_[static_cast<size_t>(call->edge)].pool->release();
+    edges_[call->edge].pool->release();
     call = calls_.get(ch);
     visit = visits_.get(call->visit);
   }

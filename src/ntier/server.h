@@ -18,12 +18,13 @@
 //
 // Hot-path storage: visits and (visit, edge) calls live in generation-counted
 // slabs (sim::Slab) owned by the server, not in per-visit shared_ptrs. Every
-// continuation captures [this, handle] — 16 bytes, inside std::function's
-// inline buffer — so the steady-state request path performs no heap
-// allocation on any topology. A freed slot bumps its generation, which makes
-// every outstanding handle stale: crash() frees all live visits, instantly
-// invalidating pre-crash continuations, and an attempt settled by its
-// response or its deadline is re-keyed so the loser of the race is a no-op.
+// continuation captures [this, handle] — 16 bytes, inside sim::EventFn's and
+// std::function's inline buffers — so the steady-state request path
+// performs no heap allocation on any topology. A freed slot bumps its
+// generation, which makes every outstanding handle stale: crash() frees all
+// live visits, instantly invalidating pre-crash continuations, and an
+// attempt settled by its response or its deadline is re-keyed so the loser
+// of the race is a no-op.
 #pragma once
 
 #include <cstdint>
@@ -161,17 +162,25 @@ class Server {
   /// Invoked whenever in_flight returns to zero (used by draining VMs).
   void set_idle_callback(std::function<void()> cb) { idle_callback_ = std::move(cb); }
 
+  /// Bytes one visit occupies in the visit slab, and one (visit, edge) call
+  /// in the call slab. A queued visit also holds one worker-pool waiter
+  /// (SlotPool::waiter_bytes()).
+  static constexpr size_t visit_slot_bytes() { return sim::Slab<VisitState>::slot_bytes(); }
+  static constexpr size_t call_slot_bytes() { return sim::Slab<CallState>::slot_bytes(); }
+
  private:
+  // Field order packs the small fields into one word: 96 bytes, so a visit
+  // slab slot is 104 (pinned in tests/ntier/record_layout_test.cpp).
   struct VisitState {
     uint64_t visit_id = 0;
     RequestPtr request;
     DoneFn done;
     sim::SimTime arrived = 0;
     double demand = 0.0;  // sampled total CPU demand for this visit
-    bool holds_worker = false;
     // Join over the visit's edge calls.
     int pending_edges = 0;
     bool edge_failed = false;
+    bool holds_worker = false;
     // Tracing scratch (written only when request->trace is non-null; CPU
     // phases are strictly sequential, so one slot suffices).
     sim::SimTime cpu_submitted = 0;
@@ -182,19 +191,19 @@ class Server {
   /// The calls one visit makes along one out-edge: issued one at a time,
   /// each attempt settled by exactly one of {response, deadline}. The slot
   /// lives from the edge's first call to its settlement (or, after a crash,
-  /// until its last pending continuation finds the visit gone).
+  /// until its last pending continuation finds the visit gone). 56 bytes.
   struct CallState {
     VisitHandle visit;
-    int edge = 0;   // index into edges_
-    int calls = 0;  // calls this visit makes along the edge
-    int index = 0;  // current call
-    int attempt = 0;
-    bool conn_held = false;
-    bool awaiting_conn = false;  // queued on the edge pool
     sim::EventHandle timeout;
     // Tracing scratch.
     sim::SimTime conn_requested = 0;
     sim::SimTime started = 0;
+    int calls = 0;  // calls this visit makes along the edge
+    int index = 0;  // current call
+    int attempt = 0;
+    uint8_t edge = 0;  // index into edges_ (at most kMaxFanOut)
+    bool conn_held = false;
+    bool awaiting_conn = false;  // queued on the edge pool
   };
   using CallHandle = sim::Slab<CallState>::Handle;
 

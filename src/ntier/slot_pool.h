@@ -14,6 +14,7 @@
 // heap memory (std::deque allocates/frees node blocks as it drains).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -68,6 +69,10 @@ class SlotPool {
   uint64_t total_acquired() const { return total_acquired_; }
   /// Wait-time stats across all grants so far (seconds).
   const metrics::Welford& wait_stats() const { return wait_stats_; }
+
+  /// Bytes one queued waiter occupies in the ring (40: an EventFn plus its
+  /// enqueue time).
+  static constexpr size_t waiter_bytes() { return sizeof(Waiter); }
 
  private:
   struct Waiter {

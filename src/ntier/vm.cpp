@@ -6,19 +6,26 @@ namespace dcm::ntier {
 
 Vm::Vm(sim::Engine& engine, std::string id, int index, std::unique_ptr<Server> server,
        sim::SimTime boot_delay, std::function<void(Vm&)> on_active)
-    : engine_(&engine), id_(std::move(id)), index_(index), server_(std::move(server)) {
+    : engine_(&engine),
+      id_(std::move(id)),
+      index_(index),
+      server_(std::move(server)),
+      on_active_(std::move(on_active)) {
   DCM_CHECK(server_ != nullptr);
   DCM_CHECK(boot_delay >= 0);
   launched_at_ = engine_->now();
-  auto activate = [this, cb = std::move(on_active)]() mutable {
-    state_ = VmState::kActive;
-    if (cb) cb(*this);
-  };
   if (boot_delay == 0) {
     activate();
   } else {
-    boot_event_ = engine_->schedule_after(boot_delay, activate);
+    boot_event_ = engine_->schedule_after(boot_delay, [this] { activate(); });
   }
+}
+
+void Vm::activate() {
+  state_ = VmState::kActive;
+  // Moved out first: the callback runs once, and may launch further VMs.
+  std::function<void(Vm&)> cb = std::move(on_active_);
+  if (cb) cb(*this);
 }
 
 void Vm::fail() {

@@ -54,12 +54,14 @@ class Vm {
   sim::SimTime launched_at() const { return launched_at_; }
 
  private:
+  void activate();
   void finish_drain(bool failed);
 
   sim::Engine* engine_;
   std::string id_;
   int index_;
   std::unique_ptr<Server> server_;
+  std::function<void(Vm&)> on_active_;  // fired once, at activation
   VmState state_ = VmState::kBooting;
   sim::SimTime launched_at_ = 0;
   sim::EventHandle boot_event_;

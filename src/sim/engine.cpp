@@ -14,15 +14,11 @@ std::string format_time(SimTime t) {
 }
 
 void EventHandle::cancel() {
-  switch (kind_) {
-    case Kind::kNone:
-      return;
-    case Kind::kEvent:
-      static_cast<EventQueue*>(owner_)->cancel(slot_, generation_);
-      return;
-    case Kind::kPeriodic:
-      static_cast<Engine*>(owner_)->cancel_periodic({slot_, generation_});
-      return;
+  if (owner_ == nullptr) return;
+  if (periodic()) {
+    static_cast<Engine*>(owner_)->cancel_periodic({slot(), generation_});
+  } else {
+    static_cast<EventQueue*>(owner_)->cancel(slot_, generation_);
   }
 }
 
@@ -44,11 +40,12 @@ bool Engine::retime_after(const EventHandle& handle, SimTime delay) {
 EventHandle Engine::schedule_periodic(SimTime period, EventFn fn) {
   DCM_CHECK_MSG(period > 0, "periodic task needs positive period");
   const PeriodicHandle h = periodics_.alloc();
+  DCM_CHECK_MSG(h.index < EventHandle::kPeriodicBit, "periodic slab exhausted");
   PeriodicTask& task = *periodics_.get(h);
   task.fn = std::move(fn);
   task.period = period;
   task.pending = schedule_after(period, [this, h] { fire_periodic(h); });
-  return EventHandle(this, h.index, h.gen, EventHandle::Kind::kPeriodic);
+  return EventHandle(this, h.index | EventHandle::kPeriodicBit, h.gen);
 }
 
 void Engine::fire_periodic(PeriodicHandle h) {

@@ -63,6 +63,9 @@ class Engine {
   /// friends). Everything allocated from it must die before the engine does.
   Arena& arena() { return arena_; }
 
+  /// Bytes one periodic chain occupies in the engine's periodic slab.
+  static constexpr size_t periodic_slot_bytes() { return Slab<PeriodicTask>::slot_bytes(); }
+
  private:
   friend class EventHandle;
 

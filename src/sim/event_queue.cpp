@@ -22,12 +22,10 @@ void EventQueue::cancel(uint32_t slot, uint32_t generation) {
 }
 
 bool EventQueue::retime(const EventHandle& handle, SimTime at) {
-  if (handle.kind_ != EventHandle::Kind::kEvent) {
-    DCM_CHECK_MSG(handle.kind_ == EventHandle::Kind::kNone, "retime of a periodic handle");
-    return false;
-  }
+  if (!handle.valid()) return false;
+  DCM_CHECK_MSG(!handle.periodic(), "retime of a periodic handle");
   DCM_CHECK_MSG(handle.owner_ == this, "retime through another queue's handle");
-  const uint32_t slot = handle.slot_;
+  const uint32_t slot = handle.slot();
   if (fns_.get({slot, handle.generation_}) == nullptr) return false;  // fired or cancelled
   const uint32_t pos = pos_[slot];
   std::vector<Entry>& from = (pos & kFarBit) != 0 ? far_ : near_;

@@ -6,11 +6,16 @@
 // ever stored, sifted or popped, and pending() counts live events only.
 //
 // Hot-path design (the simulator spends most of its time here):
-//  - EventFn is a small-buffer-optimized move-only callable: captures up to
-//    kInlineCapacity bytes live inline, larger ones fall back to the heap.
+//  - EventFn is a 32-byte small-buffer-optimized move-only callable: captures
+//    of up to kInlineCapacity (24) bytes and pointer alignment live inline,
+//    larger ones fall back to the heap. Every steady-state capture fits
+//    ([this, handle] is 16 bytes); only cold-path captures box. Each event
+//    slab slot is therefore 40 bytes, a CPU completion 40 and a pool waiter
+//    40 (EventFn plus its enqueue time).
 //  - Handles are generation-counted: each scheduled event borrows a slot
-//    from a sim::Slab; the handle remembers (slot, generation) and a stale
-//    generation makes cancel()/retime() a no-op. No per-event shared_ptr.
+//    from a sim::Slab; the 16-byte handle remembers (owner, slot,
+//    generation) and a stale generation makes cancel()/retime() a no-op. No
+//    per-event shared_ptr.
 //  - The pending set is an owned vector-backed 4-ary min-heap whose entries
 //    are 24-byte PODs (the callable stays in the slab), so sift operations
 //    are plain copies and pop() moves the callable out exactly once.
@@ -41,8 +46,10 @@ namespace dcm::sim {
 /// are boxed on the heap. Invocable repeatedly until destroyed or moved-from.
 class EventFn {
  public:
-  /// Captures at or below this size (and max_align_t alignment) live inline.
-  static constexpr size_t kInlineCapacity = 48;
+  /// Captures at or below this size (and pointer alignment) live inline.
+  /// Three words: [this, handle] and [this, handle, double] fit, which
+  /// covers every per-event and per-visit continuation in the simulator.
+  static constexpr size_t kInlineCapacity = 24;
 
   EventFn() = default;
 
@@ -87,7 +94,7 @@ class EventFn {
 
  private:
   union Storage {
-    alignas(alignof(std::max_align_t)) std::byte inline_buf[kInlineCapacity];
+    alignas(alignof(void*)) std::byte inline_buf[kInlineCapacity];
     void* heap;
   };
   struct Ops {
@@ -104,7 +111,7 @@ class EventFn {
 
   template <typename F>
   static constexpr bool fits_inline() {
-    return sizeof(F) <= kInlineCapacity && alignof(F) <= alignof(std::max_align_t) &&
+    return sizeof(F) <= kInlineCapacity && alignof(F) <= alignof(void*) &&
            std::is_nothrow_move_constructible_v<F>;
   }
 
@@ -149,6 +156,7 @@ class EventFn {
   const Ops* ops_ = nullptr;
   Storage storage_;
 };
+static_assert(sizeof(EventFn) == 32, "EventFn is one ops pointer plus three inline words");
 
 class EventQueue;
 class Engine;
@@ -160,6 +168,11 @@ class Engine;
 /// A handle that outlives its owner (EventQueue or Engine) must not be
 /// cancelled or retimed — all current components hold a reference to an
 /// engine that outlives them, matching that rule by construction.
+///
+/// 16 bytes: the owner pointer says whether the handle is inert (null), and
+/// the top bit of the slot word whether it names a periodic chain (owner is
+/// the Engine) or a one-shot event (owner is the EventQueue). Both slabs
+/// stay below 2^31 slots.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -173,15 +186,18 @@ class EventHandle {
  private:
   friend class EventQueue;
   friend class Engine;
-  enum class Kind : uint8_t { kNone, kEvent, kPeriodic };
-  EventHandle(void* owner, uint32_t slot, uint32_t generation, Kind kind)
-      : owner_(owner), slot_(slot), generation_(generation), kind_(kind) {}
+  static constexpr uint32_t kPeriodicBit = 0x80000000u;
+  EventHandle(void* owner, uint32_t slot, uint32_t generation)
+      : owner_(owner), slot_(slot), generation_(generation) {}
+
+  bool periodic() const { return (slot_ & kPeriodicBit) != 0; }
+  uint32_t slot() const { return slot_ & ~kPeriodicBit; }
 
   void* owner_ = nullptr;
-  uint32_t slot_ = 0;
+  uint32_t slot_ = 0;  // slab index | kPeriodicBit for a periodic chain
   uint32_t generation_ = 0;
-  Kind kind_ = Kind::kNone;
 };
+static_assert(sizeof(EventHandle) == 16);
 
 class EventQueue {
  public:
@@ -200,7 +216,7 @@ class EventQueue {
     if (h.index == pos_.size()) grow_pos();
     *fns_.get(h) = std::move(fn);
     push(Entry{at, next_seq_++, h.index});
-    return EventHandle(this, h.index, h.gen, EventHandle::Kind::kEvent);
+    return EventHandle(this, h.index, h.gen);
   }
 
   /// Moves the live event behind `handle` to absolute time `at`, keeping its

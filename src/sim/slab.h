@@ -6,11 +6,19 @@
 // a no-op. Freed slots are reused last-in, first-out, and the slab never
 // shrinks, so a steady-state alloc/free round trip allocates nothing.
 //
+// The slot header is one word of state: a 32-bit generation whose parity is
+// the liveness bit (odd = live). alloc makes it odd, free and take make it
+// even, rekey adds 2. Issued handles therefore always carry an odd
+// generation, and get() rejects an even one — a default Handle{} or a
+// never-issued slot's ticket never resolves. A slot costs sizeof(T) + 8
+// bytes (generation plus free-list link), padded to T's alignment.
+//
 // Owners: the event queue's callables, the engine's periodic tasks, the CPU
 // scheduler's completion callbacks, the server's visits and edge calls, and
 // the closed-loop generator's users.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -32,8 +40,7 @@ class Slab {
     } else {
       idx = grow();
     }
-    slots_[idx].live = true;
-    return {idx, slots_[idx].gen};
+    return {idx, ++slots_[idx].gen};
   }
 
   /// Resets the slot's value to T{} and makes every outstanding handle
@@ -56,31 +63,37 @@ class Slab {
     release(h.index);
   }
 
-  /// Keeps the slot live but makes every outstanding copy of `h` stale.
-  Handle rekey(Handle h) { return {h.index, ++slots_[h.index].gen}; }
+  /// Keeps the slot live (the parity is unchanged) but makes every
+  /// outstanding copy of `h` stale.
+  Handle rekey(Handle h) { return {h.index, slots_[h.index].gen += 2}; }
 
-  /// nullptr if `h` is stale. Invalidated by alloc (slab growth) — refetch
-  /// after any call that can allocate from this slab.
+  /// nullptr if `h` is stale or was never issued. Invalidated by alloc (slab
+  /// growth) — refetch after any call that can allocate from this slab.
   T* get(Handle h) {
     Slot& slot = slots_[h.index];
-    return (slot.live && slot.gen == h.gen) ? &slot.value : nullptr;
+    // Zero iff the generations match and the handle's is odd: a matching
+    // odd generation means the slot is live, so one test decides both.
+    return ((slot.gen ^ h.gen) | (~h.gen & 1u)) == 0 ? &slot.value : nullptr;
   }
 
   /// Slots ever allocated (live or free): the peak live count.
   uint32_t size() const { return static_cast<uint32_t>(slots_.size()); }
   /// The live value at `index`, or nullptr.
-  T* at(uint32_t index) { return slots_[index].live ? &slots_[index].value : nullptr; }
+  T* at(uint32_t index) { return live(slots_[index]) ? &slots_[index].value : nullptr; }
   /// The current handle of slot `index`.
   Handle handle(uint32_t index) const { return {index, slots_[index].gen}; }
+
+  /// Bytes one slot occupies: the value plus the one-word header.
+  static constexpr size_t slot_bytes() { return sizeof(Slot); }
 
  private:
   static constexpr uint32_t kNil = 0xffffffffu;
   struct Slot {
     T value{};
-    uint32_t gen = 0;
+    uint32_t gen = 0;  // odd = live; starts even (never issued)
     uint32_t next_free = kNil;
-    bool live = false;
   };
+  static bool live(const Slot& slot) { return (slot.gen & 1u) != 0; }
 
   // Kept out of line so that alloc's callers (EventQueue::schedule above
   // all) stay small enough to inline; growth is the cold path.
@@ -91,7 +104,6 @@ class Slab {
 
   void release(uint32_t index) {
     Slot& slot = slots_[index];
-    slot.live = false;
     ++slot.gen;
     slot.next_free = free_head_;
     free_head_ = index;

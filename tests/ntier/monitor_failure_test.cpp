@@ -62,5 +62,30 @@ TEST(MonitorFailureTest, DrainingVmStillReportsUntilStopped) {
   EXPECT_EQ(stopped_vm_reports_after, 0);
 }
 
+TEST(MonitorFailureTest, DeadVmAgentCancelsItsTimer) {
+  sim::Engine engine;
+  NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 3, 1}, {1000, 100, 80}), 1);
+  bus::Broker broker;
+  MonitorFleet fleet(engine, app, broker);
+
+  // No load: the only pending events are the periodic timers (one per
+  // agent, plus the fleet's retention sweep and whatever the app arms).
+  engine.run_until(sim::from_seconds(5.5));
+  const size_t live = engine.pending_events();
+  app.tier(1).fail_vm("tomcat-vm0");
+  // The failed VM's agent drops its timer on its first tick after the crash.
+  engine.run_until(sim::from_seconds(6.5));
+  EXPECT_EQ(engine.pending_events(), live - 1);
+  engine.run_until(sim::from_seconds(30.5));
+  EXPECT_EQ(engine.pending_events(), live - 1);
+
+  // A VM that drains and stops goes the same way.
+  ASSERT_TRUE(app.tier(1).scale_in());
+  engine.run_until(sim::from_seconds(31.5));
+  EXPECT_EQ(engine.pending_events(), live - 2);
+  EXPECT_EQ(fleet.agent_count(), 5u);  // the agents themselves stay attached
+}
+
 }  // namespace
 }  // namespace dcm::ntier

@@ -1,0 +1,41 @@
+// Layout pins for the records every event, CPU job and queued visit carries.
+// A queued visit holds one visit-slab slot plus one worker-pool waiter, so
+// these sizes set the memory a backlog costs; growing any of them is a
+// deliberate decision, not an accident of field order.
+#include <gtest/gtest.h>
+
+#include "ntier/server.h"
+#include "ntier/slot_pool.h"
+#include "sim/engine.h"
+#include "sim/event_queue.h"
+#include "sim/slab.h"
+
+namespace dcm {
+namespace {
+
+// The callable: one ops pointer plus a three-word inline buffer.
+static_assert(sizeof(sim::EventFn) == 32);
+static_assert(sim::EventFn::kInlineCapacity == 24);
+static_assert(sizeof(sim::EventHandle) == 16);
+
+// Slab slots: the value plus a one-word header (generation, free link).
+static_assert(sim::Slab<uint64_t>::slot_bytes() == sizeof(uint64_t) + 8);
+static_assert(sim::Slab<sim::EventFn>::slot_bytes() == 40);  // events, CPU completions
+static_assert(sim::Engine::periodic_slot_bytes() <= 64);
+
+// The per-visit records.
+static_assert(ntier::SlotPool::waiter_bytes() <= 40);
+static_assert(ntier::Server::visit_slot_bytes() <= 104);
+static_assert(ntier::Server::call_slot_bytes() <= 64);
+static_assert(ntier::Server::visit_slot_bytes() + ntier::SlotPool::waiter_bytes() <= 144);
+
+TEST(RecordLayoutTest, QueuedVisitCostsAtMost144Bytes) {
+  // The static_asserts above are the test; this records the figures.
+  RecordProperty("visit_slot_bytes", static_cast<int>(ntier::Server::visit_slot_bytes()));
+  RecordProperty("waiter_bytes", static_cast<int>(ntier::SlotPool::waiter_bytes()));
+  RecordProperty("call_slot_bytes", static_cast<int>(ntier::Server::call_slot_bytes()));
+  EXPECT_LE(ntier::Server::visit_slot_bytes() + ntier::SlotPool::waiter_bytes(), 144u);
+}
+
+}  // namespace
+}  // namespace dcm

@@ -93,6 +93,65 @@ TEST(SlabTest, AtAndHandleWalkOnlyLiveSlots) {
   EXPECT_EQ(slab.get(slab.handle(2)), slab.get(handles[2]));
 }
 
+// Generation parity: a slot's generation is odd while it is live, so every
+// issued handle carries an odd one. A handle with an even generation — the
+// default Handle{}, or a ticket read off a free slot — must never resolve,
+// whatever state the slot is in.
+TEST(SlabTest, DefaultHandleNeverResolves) {
+  IntSlab slab;
+  const IntSlab::Handle none{};
+  const IntSlab::Handle h = slab.alloc();  // slot 0: the index Handle{} names
+  EXPECT_EQ(h.index, none.index);
+  EXPECT_EQ(slab.get(none), nullptr);
+  slab.free(h);
+  EXPECT_EQ(slab.get(none), nullptr);
+  const IntSlab::Handle again = slab.alloc();
+  EXPECT_EQ(slab.get(none), nullptr);
+  EXPECT_EQ(slab.get(slab.rekey(again)), slab.at(0));
+  EXPECT_EQ(slab.get(none), nullptr);
+}
+
+TEST(SlabTest, IssuedGenerationsAreOddAndEvenOnesNeverResolve) {
+  IntSlab slab;
+  IntSlab::Handle h = slab.alloc();
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    EXPECT_EQ(h.gen & 1u, 1u) << "cycle " << cycle;
+    ASSERT_NE(slab.get(h), nullptr);
+    // Neither even neighbour of the live generation resolves.
+    EXPECT_EQ(slab.get({h.index, h.gen - 1}), nullptr);
+    EXPECT_EQ(slab.get({h.index, h.gen + 1}), nullptr);
+    if (cycle % 2 == 0) {
+      h = slab.rekey(h);
+    } else {
+      int out = 0;
+      slab.take(h, out);
+      // A free slot's own ticket is even: it names no live value.
+      const IntSlab::Handle freed = slab.handle(h.index);
+      EXPECT_EQ(freed.gen & 1u, 0u);
+      EXPECT_EQ(slab.get(freed), nullptr);
+      EXPECT_EQ(slab.at(h.index), nullptr);
+      h = slab.alloc();
+    }
+  }
+  // Re-keying moves by two: the live generation stays odd.
+  const IntSlab::Handle fresh = slab.rekey(h);
+  EXPECT_EQ(fresh.gen, h.gen + 2);
+  EXPECT_EQ(slab.get({h.index, h.gen + 1}), nullptr);
+}
+
+TEST(SlabTest, NeverIssuedSlotTicketsDoNotResolve) {
+  IntSlab slab;
+  std::vector<IntSlab::Handle> handles;
+  for (int i = 0; i < 4; ++i) handles.push_back(slab.alloc());
+  for (const IntSlab::Handle& h : handles) slab.free(h);
+  // Every slot is free; no even ticket resolves, and at() sees nothing.
+  for (uint32_t i = 0; i < slab.size(); ++i) {
+    EXPECT_EQ(slab.get(slab.handle(i)), nullptr);
+    EXPECT_EQ(slab.get({i, 0}), nullptr);
+    EXPECT_EQ(slab.at(i), nullptr);
+  }
+}
+
 // A value whose destructor re-enters the slab that holds it: it allocates a
 // slot, frees one, or both. The slab must be consistent before the old value
 // dies, so the re-entrant calls see a free list that already includes the

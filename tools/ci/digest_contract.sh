@@ -37,6 +37,7 @@ tournament   | tournament quickstart chaos-resilience --set run.duration=120 | -
 topology     | sweep diamond-cache --axis workload.users=150,300 --axis run.max_vms=4,8 | --jobs 1;--jobs $jobs
 fanout-retry | sweep fanout-join --set resilience.enabled=true --axis workload.users=150,300 | --jobs 1;--jobs $jobs
 kind-toggle  | sweep chaos-resilience --set run.duration=120 --set resilience.enabled=false --axis controller.kind=dcm,ec2 | --jobs 1;--jobs $jobs
+chaos-pi     | run chaos-resilience --set controller.kind=pi | --jobs 1;--jobs $jobs
 "
 
 ran=0
