@@ -1,6 +1,6 @@
 // Aligned console tables for benchmark output.
 //
-// Every bench binary prints the paper's tables/figure series as plain-text
+// `dcm_run report` prints the paper's tables/figure series as plain-text
 // tables; this gives them one consistent, diff-friendly format.
 #pragma once
 

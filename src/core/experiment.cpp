@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "control/ec2_autoscale.h"
 #include "ntier/monitor_agent.h"
+#include "workload/closed_loop.h"
 #include "workload/trace_player.h"
 
 namespace dcm::core {
@@ -397,6 +398,74 @@ std::vector<SweepPoint> jmeter_concurrency_sweep(const ExperimentConfig& base,
     points.push_back(std::move(point));
   }
   return points;
+}
+
+namespace {
+
+// Drives `generator` to `duration`: post-warmup throughput, whole-run mean RT.
+SweepPoint measure(sim::Engine& engine, workload::ClosedLoopGenerator& generator, int users,
+                   double warmup, double duration) {
+  generator.start();
+  engine.run_until(sim::from_seconds(duration));
+  const workload::ClientStats& stats = generator.stats();
+  return {users, stats.mean_throughput(sim::from_seconds(warmup), sim::from_seconds(duration)),
+          stats.response_time_stats().mean(), {}};
+}
+
+}  // namespace
+
+std::vector<SweepPoint> mysql_concurrency_sweep(const std::vector<int>& concurrencies) {
+  TopologySpec mysql_only;
+  mysql_only.kind = TopologySpec::Kind::kGraph;
+  mysql_only.nodes = {{"mysql", "db"}};
+  const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
+  std::vector<SweepPoint> points;
+  for (const int n : concurrencies) {
+    DCM_CHECK(n >= 1);
+    sim::Engine engine;
+    ntier::NTierApp app(engine, build_service_graph(mysql_only, {1, 1, 1}, {}, 1), 1);
+    app.tier(0).set_thread_pool_size(n);
+    workload::ClosedLoopConfig clients;
+    clients.users = n;
+    clients.seed = 1000 + static_cast<uint64_t>(n);
+    workload::ClosedLoopGenerator generator(
+        engine, app, workload::graph_request_factory(catalog, *app.graph()), std::move(clients));
+    points.push_back(measure(engine, generator, n, /*warmup=*/10.0, /*duration=*/60.0));
+  }
+  return points;
+}
+
+ModelTraining train_tier_model(const ExperimentConfig& base, size_t tier, double visit_ratio,
+                               double concurrency_cap, const std::vector<int>& offered) {
+  ModelTraining out;
+  std::vector<model::TrainingSample> samples;
+  for (const auto& p : jmeter_concurrency_sweep(base, offered, /*match_app_pools=*/true)) {
+    const double conc = p.per_server_concurrency[tier];
+    if (conc < 0.8 || conc > concurrency_cap) continue;
+    samples.push_back({std::max(1.0, conc), p.throughput});
+    out.max_concurrency = std::max(out.max_concurrency, conc);
+  }
+  out.samples = samples.size();
+  const ntier::ServiceGraph graph =
+      build_service_graph(base.topology, base.hardware, base.soft, base.max_vms_per_tier);
+  const model::Trainer trainer(/*servers=*/1, visit_ratio);
+  out.normalized = trainer.fit_normalized(samples);
+  out.known_s0 = trainer.fit_with_known_s0(graph.node(tier).tier.server.cpu.params.s0, samples);
+  return out;
+}
+
+SweepPoint run_with_lb_policy(const ExperimentConfig& config, ntier::LbPolicy policy) {
+  sim::Engine engine;
+  const ntier::ServiceGraph chain =
+      build_service_graph(config.topology, config.hardware, config.soft);
+  std::vector<ntier::ServiceNode> nodes = chain.nodes();
+  for (auto& node : nodes) node.tier.lb_policy = policy;
+  ntier::NTierApp app(engine, ntier::ServiceGraph(std::move(nodes), chain.edges()), config.seed);
+  const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
+  auto generator = workload::make_rubbos_clients(engine, app, catalog, config.workload.users,
+                                                 config.workload.mean_think_seconds);
+  return measure(engine, *generator, config.workload.users, config.warmup_seconds,
+                 config.duration_seconds);
 }
 
 }  // namespace dcm::core

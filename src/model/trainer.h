@@ -10,7 +10,7 @@
 // this:
 //   * fit_with_known_s0 — S0 measured independently (throughput at
 //     concurrency 1 ⇒ γK/S0, plus a direct single-thread service-time
-//     measurement), fitting α, β, γ. This is how the Table I bench runs.
+//     measurement), fitting α, β, γ. This is how the Table I report runs.
 //   * fit_normalized — pin γ = 1 and fit S0, α, β. The optimum
 //     N_b = sqrt((S0−α)/β) is invariant under the shared scaling, so this
 //     mode is sufficient for the controller, which only needs N_b.

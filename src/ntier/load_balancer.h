@@ -1,7 +1,7 @@
 // Tier-front load balancer (the HAProxy substitute).
 //
 // Balances visits across the tier's ACTIVE servers. Round-robin matches
-// HAProxy's default; least-connections is provided for the ablation bench.
+// HAProxy's default; least-connections is provided for ablation A2.
 //
 // Passive health checking (resilience mechanism): when a failure threshold
 // is set, the balancer counts consecutive failed visits per member and stops

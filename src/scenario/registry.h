@@ -3,8 +3,8 @@
 // Every bench and example used to hard-code its deployment inline; the
 // registry is now the single source of those configurations, stored as the
 // same INI text a user would write by hand (so `dcm_run show <name>` prints
-// exactly what `dcm_run run <name>` executes, and benches are thin clients
-// that tweak one or two fields per point).
+// exactly what `dcm_run run <name>` executes, and `dcm_run report` is a thin
+// client that tweaks one or two fields per point).
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <exception>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/strings.h"
@@ -80,7 +81,10 @@ std::vector<PlannedRun> expand_grid(const SweepPlan& plan) {
   return runs;
 }
 
-SweepRunner::SweepRunner(SweepPlan plan, int jobs) : planned_(expand_grid(plan)), jobs_(jobs) {
+SweepRunner::SweepRunner(SweepPlan plan, int jobs) : SweepRunner(expand_grid(plan), jobs) {}
+
+SweepRunner::SweepRunner(std::vector<PlannedRun> planned, int jobs)
+    : planned_(std::move(planned)), jobs_(jobs) {
   if (jobs_ <= 0) {
     jobs_ = static_cast<int>(std::thread::hardware_concurrency());
     if (jobs_ <= 0) jobs_ = 1;

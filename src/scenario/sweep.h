@@ -84,6 +84,10 @@ class SweepRunner {
  public:
   /// jobs: worker threads; <= 0 means std::thread::hardware_concurrency().
   explicit SweepRunner(SweepPlan plan, int jobs = 1);
+  /// Runs an explicit run list (indices 0..n-1 in order) under the same
+  /// contract, for grids the axis product cannot express: rows that name
+  /// different scenarios, or per-row seeds.
+  SweepRunner(std::vector<PlannedRun> planned, int jobs);
 
   /// Executes every planned run and returns them in run-index order. If any
   /// run threw, rethrows the lowest-index exception after all workers have

@@ -2,7 +2,7 @@
 //
 // The paper's "Large Variation" trace comes from Gandhi et al. (AutoScale,
 // TOCS 2012), which categorises production traces into named variability
-// patterns. Reproducing the whole taxonomy lets the benches evaluate DCM
+// patterns. Reproducing the whole taxonomy lets `dcm_run report` evaluate DCM
 // against every pattern, not just the one the paper picked. Each
 // synthesizer produces a ~700 s, 1 Hz trace with reproducible noise.
 #pragma once

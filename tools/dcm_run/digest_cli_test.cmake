@@ -1,5 +1,5 @@
-# CLI digest-label and override regression (run with cmake -P; pass
-# -DDCM_RUN=<binary>).
+# CLI digest-label, override and report-usage regression (run with cmake -P;
+# pass -DDCM_RUN=<binary>).
 #
 # `dcm_run run <scenario> --digest` must print the canonical
 # registry-pinned result_digest of the single root-seed run — not a sweep
@@ -50,4 +50,14 @@ expect_dcm_run("^result_digest 3915615181683623565$"
                run fig5 --set controller.app_model=2.84e-2,1e-4,7.075e-7
                --set controller.db_model=7.19e-3,1e-4,2.76953125e-7 --digest --quiet)
 
-message(STATUS "dcm_run digest labels and overrides OK")
+# `report` rejects an unknown figure with the usage exit code and lists the
+# figures it knows.
+execute_process(COMMAND ${DCM_RUN} report nosuchfig OUTPUT_QUIET ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT err MATCHES
+   "figures: fig2a, fig2b, table1, fig4, fig5, ablation, taxonomy, chaos")
+  message(FATAL_ERROR "dcm_run report nosuchfig: expected exit 2 and the figure list, "
+                      "got rc=${rc}: ${err}")
+endif()
+
+message(STATUS "dcm_run digest labels, overrides and report usage OK")

@@ -19,6 +19,11 @@
 //       chaos-resilience) with pinned seeds, and print the ranked scorecard
 //       (SLO-violation seconds, VM-hours, actuation churn). --digest prints
 //       only "scorecard_digest <n>" (bit-identical for any --jobs).
+//   dcm_run report [figure...] [--quiet]
+//       Reproduce the paper's evaluation: for each named figure (default:
+//       all, in paper order) print its tables, then its claims table — each
+//       claim a metric over the figure's registered runs and a bound. Exit 1
+//       if any claim fails; stderr names it. --quiet prints only the claims.
 //
 // Options (run and sweep):
 //   --set section.key=value   override a base-scenario field (repeatable;
@@ -41,6 +46,7 @@
 //   --quiet                   suppress per-run summary tables
 //
 // Exit status: 0 on success, 1 on any failure, 2 on usage errors.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -55,6 +61,7 @@
 #include "common/table.h"
 #include "scenario/macro_bench.h"
 #include "scenario/registry.h"
+#include "scenario/report.h"
 #include "scenario/result_writer.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
@@ -67,7 +74,7 @@ namespace {
 struct Options {
   std::string command;
   std::string target;
-  std::vector<std::string> targets;  // bench accepts several scenarios
+  std::vector<std::string> targets;  // bench/tournament scenarios, report figures
   std::vector<std::string> sets;
   std::vector<std::string> axes;
   std::vector<std::string> controllers;  // tournament; empty = all registered
@@ -95,8 +102,9 @@ int usage(const char* argv0) {
                "       %s bench [scenario...] [--reps N] [--json path|-] [--quiet]\n"
                "       %s tournament [scenario...] [--controllers a,b,...] [--jobs N]\n"
                "             [--set s.k=v]... [--json path|-] [--csv prefix] [--digest]\n"
-               "             [--quiet]\n",
-               argv0, argv0, argv0, argv0, argv0, argv0);
+               "             [--quiet]\n"
+               "       %s report [figure...] [--quiet]\n",
+               argv0, argv0, argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -252,6 +260,35 @@ int cmd_tournament(const Options& opts) {
   return 0;
 }
 
+int cmd_report(const Options& opts) {
+  const std::vector<std::string> known = scenario::figure_names();
+  for (const std::string& figure : opts.targets) {
+    if (std::find(known.begin(), known.end(), figure) != known.end()) continue;
+    std::string list;
+    for (const std::string& name : known) list += (list.empty() ? "" : ", ") + name;
+    std::fprintf(stderr, "dcm_run: unknown figure '%s' (figures: %s)\n", figure.c_str(),
+                 list.c_str());
+    return 2;
+  }
+  std::vector<scenario::Claim> claims;
+  for (const std::string& figure : opts.targets.empty() ? known : opts.targets) {
+    const std::vector<scenario::Claim> figure_claims = scenario::run_figure(figure, !opts.quiet);
+    if (!opts.quiet) {
+      std::printf("\n--- claims ---\n%s\n", scenario::render_claims(figure_claims).c_str());
+    }
+    claims.insert(claims.end(), figure_claims.begin(), figure_claims.end());
+  }
+  if (opts.quiet) std::fputs(scenario::render_claims(claims).c_str(), stdout);
+  int status = 0;
+  for (const scenario::Claim& claim : claims) {
+    if (claim.holds()) continue;
+    status = 1;
+    std::fprintf(stderr, "dcm_run: claim %s failed: %s: %s does not hold\n", claim.id.c_str(),
+                 claim.metric.c_str(), claim.verdict_text().c_str());
+  }
+  return status;
+}
+
 int cmd_run_or_sweep(const Options& opts) {
   // --trace / --trace-rate are spellings of trace.* overrides, applied
   // before --set so an explicit --set trace.* still wins.
@@ -357,7 +394,8 @@ int main(int argc, char** argv) {
     } else if (arg[0] == '-') {
       std::fprintf(stderr, "dcm_run: unknown flag '%s'\n", arg.c_str());
       return 2;
-    } else if (opts.command == "bench" || opts.command == "tournament") {
+    } else if (opts.command == "bench" || opts.command == "tournament" ||
+               opts.command == "report") {
       opts.targets.push_back(arg);
     } else if (opts.target.empty()) {
       opts.target = arg;
@@ -371,6 +409,7 @@ int main(int argc, char** argv) {
     if (opts.command == "list") return cmd_list();
     if (opts.command == "bench") return cmd_bench(opts);
     if (opts.command == "tournament") return cmd_tournament(opts);
+    if (opts.command == "report") return cmd_report(opts);
     if (opts.command == "show" && !opts.target.empty()) return cmd_show(opts.target);
     if ((opts.command == "run" || opts.command == "sweep") && !opts.target.empty()) {
       if (opts.command == "sweep" && opts.axes.empty()) {
