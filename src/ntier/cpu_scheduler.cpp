@@ -225,6 +225,33 @@ void CpuScheduler::abort_all() {
   pending_live_ = false;
 }
 
+namespace {
+
+// The capacity of a priority_queue's protected container, read through a
+// pointer to member named in a derived class, so jobs_ keeps its plain
+// priority_queue type and the completion path its code.
+template <typename Queue>
+size_t heap_capacity(const Queue& queue) {
+  struct Peek : Queue {
+    static size_t capacity(const Queue& q) { return (q.*&Peek::c).capacity(); }
+  };
+  return Peek::capacity(queue);
+}
+
+}  // namespace
+
+void CpuScheduler::release_storage() {
+  DCM_CHECK_MSG(live_jobs_ == 0 && !in_callbacks_, "releasing a busy CPU scheduler");
+  jobs_ = {};
+  done_ = sim::Slab<sim::EventFn>();
+  std::vector<sim::EventFn>().swap(done_scratch_);
+}
+
+size_t CpuScheduler::bytes_reserved() const {
+  return heap_capacity(jobs_) * sizeof(Job) + done_.bytes_reserved() +
+         done_scratch_.capacity() * sizeof(sim::EventFn);
+}
+
 void CpuScheduler::set_capacity_factor(double factor) {
   DCM_CHECK_MSG(factor > 0.0, "capacity factor must be positive");
   if (factor == capacity_factor_) return;

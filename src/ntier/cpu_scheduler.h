@@ -77,6 +77,13 @@ class CpuScheduler {
   /// the CPU side of a server crash. Accounting up to now is preserved.
   void abort_all();
 
+  /// Frees the job heap, the completion slab and the callback scratch. Only
+  /// with no job in flight and outside a completion event — for a server
+  /// that is offline for good. Every counter and integral stays readable.
+  void release_storage();
+  /// Bytes the job heap, completion slab and callback scratch hold.
+  size_t bytes_reserved() const;
+
   /// Fault injection: scales total capacity and the per-thread speed clamp.
   /// 1.0 (the default) is bit-identical to the unscaled model; 0.25 models a
   /// VM degraded to a quarter of its speed. Must be > 0.

@@ -218,8 +218,15 @@ void Server::dispatch_call(CallHandle ch, CallState& c, const VisitState& v) {
 
 Server::VisitState* Server::live_visit_or_free(CallHandle ch, const CallState& c) {
   VisitState* v = visits_.get(c.visit);
-  if (v == nullptr) calls_.free(ch);
+  if (v == nullptr) free_orphaned_call(ch);
   return v;
+}
+
+void Server::free_orphaned_call(CallHandle ch) {
+  calls_.free(ch);
+  // A retired server releases its storage once its last orphan is gone:
+  // until then this very lookup still reads the visit slab.
+  if (orphaned_calls_ > 0 && --orphaned_calls_ == 0) schedule_release();
 }
 
 void Server::on_call_response(CallHandle ch, bool ok) {
@@ -376,6 +383,48 @@ void Server::crash() {
     auto cb = idle_callback_;
     cb();
   }
+}
+
+void Server::retire() {
+  DCM_CHECK_MSG(!retired_, "server retired twice");
+  for (uint32_t i = 0; i < visits_.size(); ++i) {
+    DCM_CHECK_MSG(visits_.at(i) == nullptr, "retiring a server with a live visit");
+  }
+  retired_ = true;
+  online_ = false;
+  idle_callback_ = nullptr;
+  // With no live visit, every live call is an orphan of a crash: its
+  // response, deadline or backoff is still pending and frees it.
+  for (uint32_t i = 0; i < calls_.size(); ++i) {
+    if (calls_.at(i) != nullptr) ++orphaned_calls_;
+  }
+  // Released from its own event: retire() can run deep inside a visit's
+  // continuation (a drain goes idle in finish_visit), whose callers may
+  // still read the visit slab before they return.
+  if (orphaned_calls_ == 0) schedule_release();
+}
+
+void Server::schedule_release() {
+  engine_->schedule_after(0, [this] { release_storage(); });
+}
+
+void Server::release_storage() {
+  visits_ = sim::Slab<VisitState>();
+  std::vector<std::pair<uint64_t, uint32_t>>().swap(crash_scratch_);
+  workers_.release_storage();
+  for (auto& e : edges_) {
+    if (e.pool) e.pool->release_storage();
+  }
+  cpu_.release_storage();
+}
+
+size_t Server::bulk_bytes_reserved() const {
+  size_t bytes = visits_.bytes_reserved() + workers_.bytes_reserved() + cpu_.bytes_reserved() +
+                 crash_scratch_.capacity() * sizeof(crash_scratch_[0]);
+  for (const auto& e : edges_) {
+    if (e.pool) bytes += e.pool->bytes_reserved();
+  }
+  return bytes;
 }
 
 void Server::set_thread_pool_size(int size) {

@@ -127,6 +127,21 @@ class Server {
   void set_online(bool online) { online_ = online; }
   bool online() const { return online_; }
 
+  /// Final state: the owning VM is FAILED or STOPPED and never serves
+  /// again. Call once, when no visit is live (after crash(), or once a
+  /// drain has gone idle). The server goes offline for good, and once no
+  /// call orphaned by a crash is still pending it releases its bulk
+  /// storage (see bulk_bytes_reserved()) from a zero-delay event, after the
+  /// stack that retired it has unwound. Counters, integrals and pool
+  /// statistics stay readable. The call slab stays: a late downstream
+  /// response still looks up its stale handle there.
+  void retire();
+  bool retired() const { return retired_; }
+  /// Bytes of the storage a retirement releases (0 once released): the
+  /// visit slab, the worker- and edge-pool waiter rings, the CPU
+  /// scheduler's heap, completion slab and scratch, and the crash scratch.
+  size_t bulk_bytes_reserved() const;
+
   // --- observability ---
   const std::string& name() const { return config_.name; }
   int depth() const { return depth_; }
@@ -227,6 +242,11 @@ class Server {
   /// The call's visit, or nullptr after freeing the call (the server
   /// crashed while the call was pending).
   VisitState* live_visit_or_free(CallHandle ch, const CallState& c);
+  // Out of line and cold: live_visit_or_free runs for every call, and this
+  // branch only after a crash.
+  [[gnu::cold, gnu::noinline]] void free_orphaned_call(CallHandle ch);
+  void schedule_release();
+  void release_storage();
   void on_call_result(CallHandle ch, CallState& c, VisitState& v, bool ok);
   void settle_edge(VisitHandle h, bool ok);
   void finish_visit(VisitHandle h, bool ok);
@@ -255,6 +275,8 @@ class Server {
   uint64_t subrequest_retries_ = 0;
   double response_time_sum_ = 0.0;
   bool online_ = true;
+  bool retired_ = false;
+  uint32_t orphaned_calls_ = 0;  // calls a retired server waits for before releasing
   LoadBalancer* result_listener_ = nullptr;
   std::function<void()> idle_callback_;
 

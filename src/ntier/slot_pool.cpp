@@ -103,6 +103,12 @@ void SlotPool::reset() {
   waiter_count_ = 0;
 }
 
+void SlotPool::release_storage() {
+  DCM_CHECK_MSG(waiter_count_ == 0, "releasing a pool with waiters");
+  std::vector<Waiter>().swap(waiters_);
+  waiter_head_ = 0;
+}
+
 void SlotPool::resize(int capacity) {
   DCM_CHECK_MSG(capacity >= 1, "pool needs at least one slot");
   capacity_ = capacity;

@@ -58,6 +58,13 @@ class SlotPool {
   /// held/awaited the slots.
   void reset();
 
+  /// Frees the waiter ring (the pool must have no waiters). For a server
+  /// that is offline for good; the counters, integral and wait statistics
+  /// stay readable, and a later enqueue would simply grow a new ring.
+  void release_storage();
+  /// Bytes the waiter ring holds.
+  size_t bytes_reserved() const { return waiters_.capacity() * sizeof(Waiter); }
+
   const std::string& name() const;
   int capacity() const { return capacity_; }
   int in_use() const { return in_use_; }

@@ -37,6 +37,7 @@ void Vm::fail() {
   state_ = VmState::kFailed;
   server_->set_online(false);
   server_->crash();
+  server_->retire();
   // A crash mid-drain must still complete the drain handshake — with a
   // failed=true signal — or the scale-in bookkeeping waits forever.
   if (was_draining) finish_drain(/*failed=*/true);
@@ -55,7 +56,10 @@ void Vm::begin_drain(DrainCallback on_stopped) {
 
 void Vm::finish_drain(bool failed) {
   server_->set_idle_callback(nullptr);
-  if (!failed) state_ = VmState::kStopped;
+  if (!failed) {
+    state_ = VmState::kStopped;
+    server_->retire();
+  }
   // Move out first: the callback may start another drain elsewhere.
   DrainCallback cb = std::move(drain_callback_);
   drain_callback_ = nullptr;

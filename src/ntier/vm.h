@@ -3,7 +3,8 @@
 // Mirrors the paper's scaling mechanics: a newly launched VM spends a
 // preparation period (15 s in the paper) before entering service; a removed
 // VM first drains in-flight requests (deregistered from the load balancer),
-// then stops.
+// then stops. A VM's final state (STOPPED or FAILED) retires its server
+// (Server::retire): it stays offline and releases its bulk storage.
 #pragma once
 
 #include <functional>

@@ -85,25 +85,31 @@ SweepRunner::SweepRunner(SweepPlan plan, int jobs) : SweepRunner(expand_grid(pla
 
 SweepRunner::SweepRunner(std::vector<PlannedRun> planned, int jobs)
     : planned_(std::move(planned)), jobs_(jobs) {
+  // Consumers of run_each key on run.index, so it must be the position.
+  for (size_t i = 0; i < planned_.size(); ++i) {
+    if (planned_[i].index != i) {
+      fail("run " + std::to_string(i) + " carries index " + std::to_string(planned_[i].index));
+    }
+  }
   if (jobs_ <= 0) {
     jobs_ = static_cast<int>(std::thread::hardware_concurrency());
     if (jobs_ <= 0) jobs_ = 1;
   }
 }
 
-std::vector<SweepRun> SweepRunner::run() {
+void SweepRunner::run_each(const std::function<void(SweepRun&& run)>& reduce) {
   const size_t total = planned_.size();
-  std::vector<SweepRun> results(total);
   std::vector<std::exception_ptr> errors(total);
 
   const auto execute = [&](size_t index) {
     const PlannedRun& planned = planned_[index];
-    SweepRun& out = results[index];
-    out.index = planned.index;
-    out.scenario = planned.scenario;
-    out.overrides = planned.overrides;
     try {
+      SweepRun out;
+      out.index = planned.index;
+      out.scenario = planned.scenario;
+      out.overrides = planned.overrides;
       out.result = core::run_experiment(planned.scenario.experiment());
+      reduce(std::move(out));
     } catch (...) {
       errors[index] = std::current_exception();
     }
@@ -130,6 +136,11 @@ std::vector<SweepRun> SweepRunner::run() {
   for (size_t i = 0; i < total; ++i) {
     if (errors[i]) std::rethrow_exception(errors[i]);
   }
+}
+
+std::vector<SweepRun> SweepRunner::run() {
+  std::vector<SweepRun> results(planned_.size());
+  run_each([&results](SweepRun&& run) { results[run.index] = std::move(run); });
   return results;
 }
 

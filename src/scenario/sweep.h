@@ -12,13 +12,18 @@
 //      root seed via `derive_seed(root, run_index)`),
 //   2. each run owns its entire engine/app/workload stack (the library has
 //      no mutable globals besides the log sink, which runs don't write),
-//   3. results land in a preallocated slot keyed by run index, so the merge
+//   3. a run is handed over with its run index, and every consumer keys on
+//      that index: run() fills a preallocated slot per index, so the merge
 //      order is the plan order, not the completion order.
+// `run_each` is the one execution path; it hands each finished run to a
+// callback on the worker that ran it and then drops it, so a caller that
+// reduces runs as they finish (the tournament) holds at most `jobs` results.
 // `tests/scenario/sweep_runner_test.cpp` digests this contract and CI
 // compares --jobs 1 vs --jobs N digests on every push.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,9 +94,16 @@ class SweepRunner {
   /// different scenarios, or per-row seeds.
   SweepRunner(std::vector<PlannedRun> planned, int jobs);
 
-  /// Executes every planned run and returns them in run-index order. If any
-  /// run threw, rethrows the lowest-index exception after all workers have
-  /// drained (no partial results escape).
+  /// Executes every planned run and hands each finished one to `reduce` on
+  /// the worker thread that ran it; the run is destroyed when `reduce`
+  /// returns. Calls for different runs may overlap, so `reduce` must touch
+  /// only state keyed by `run.index`. An exception from a run or from its
+  /// `reduce` is held until all workers have drained; then the lowest-index
+  /// one is rethrown.
+  void run_each(const std::function<void(SweepRun&& run)>& reduce);
+
+  /// run_each collecting every run, returned in run-index order (no partial
+  /// results escape an exception).
   std::vector<SweepRun> run();
 
   const std::vector<PlannedRun>& planned() const { return planned_; }

@@ -52,12 +52,11 @@ Tournament run_tournament(const TournamentOptions& options) {
     plan.seed_policy = SeedPolicy::kFixed;
     plan.axes.push_back(SweepAxis{"controller", "kind", tournament.controllers});
     SweepRunner runner(plan, options.jobs);
-    const std::vector<SweepRun> runs = runner.run();
-
-    std::vector<TournamentCell> cells;
-    cells.reserve(runs.size());
-    for (const SweepRun& run : runs) {
-      TournamentCell cell;
+    // Each run is reduced to its cell on the worker that ran it, and its
+    // result dies there: a cell reads a few numbers and the digest.
+    std::vector<TournamentCell> cells(runner.planned().size());
+    runner.run_each([&cells, &scenario_name](SweepRun&& run) {
+      TournamentCell& cell = cells[run.index];
       cell.scenario = scenario_name;
       cell.controller = run.overrides.front().second;
       cell.slo_violation_seconds = run.result.sla_violation_seconds;
@@ -69,8 +68,7 @@ Tournament run_tournament(const TournamentOptions& options) {
       cell.mean_response_time = run.result.mean_response_time;
       cell.mean_throughput = run.result.mean_throughput;
       cell.result_digest = result_digest(run.result);
-      cells.push_back(std::move(cell));
-    }
+    });
 
     // Rank within the scenario without disturbing the axis order.
     std::vector<size_t> order(cells.size());

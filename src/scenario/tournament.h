@@ -4,8 +4,10 @@
 // Each scenario becomes one deterministic `SweepRunner` sweep with
 // `controller.kind` as the only axis and `SeedPolicy::kFixed`, so every
 // controller faces the *identical* synthesized trace, client randomness and
-// fault schedule — a paired comparison, not a statistical one. Cells are
-// scored on what the paper actually argues about:
+// fault schedule — a paired comparison, not a statistical one. Each run is
+// reduced to its cell as it finishes (SweepRunner::run_each), so a scenario
+// holds at most `jobs` full results at once. Cells are scored on what the
+// paper actually argues about:
 //
 //   * SLO-violation seconds — post-warmup seconds whose mean response time
 //     exceeded the SLA bound (quality),

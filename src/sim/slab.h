@@ -85,6 +85,8 @@ class Slab {
 
   /// Bytes one slot occupies: the value plus the one-word header.
   static constexpr size_t slot_bytes() { return sizeof(Slot); }
+  /// Bytes the slot array holds, live and free slots alike.
+  size_t bytes_reserved() const { return slots_.capacity() * sizeof(Slot); }
 
  private:
   static constexpr uint32_t kNil = 0xffffffffu;

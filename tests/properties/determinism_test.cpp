@@ -44,6 +44,15 @@ RunDigest run_digest(uint64_t seed, ControllerSpec::Kind controller_kind) {
       config.controller = ControllerSpec::dcm_controller(dcm);
       break;
     }
+    case ControllerSpec::Kind::kPredictive:
+      config.controller = ControllerSpec::predictive_controller({});
+      break;
+    case ControllerSpec::Kind::kQueueing:
+      config.controller = ControllerSpec::queueing_controller({});
+      break;
+    case ControllerSpec::Kind::kPi:
+      config.controller = ControllerSpec::pi_controller({});
+      break;
   }
   config.duration_seconds = 200.0;
   config.warmup_seconds = 20.0;
@@ -80,7 +89,10 @@ TEST_P(DeterminismTest, DifferentSeedsDiverge) {
 INSTANTIATE_TEST_SUITE_P(Controllers, DeterminismTest,
                          ::testing::Values(ControllerSpec::Kind::kNone,
                                            ControllerSpec::Kind::kEc2AutoScale,
-                                           ControllerSpec::Kind::kDcm),
+                                           ControllerSpec::Kind::kDcm,
+                                           ControllerSpec::Kind::kPredictive,
+                                           ControllerSpec::Kind::kQueueing,
+                                           ControllerSpec::Kind::kPi),
                          [](const ::testing::TestParamInfo<ControllerSpec::Kind>& param_info) {
                            switch (param_info.param) {
                              case ControllerSpec::Kind::kNone:
@@ -89,6 +101,12 @@ INSTANTIATE_TEST_SUITE_P(Controllers, DeterminismTest,
                                return std::string("ec2");
                              case ControllerSpec::Kind::kDcm:
                                return std::string("dcm");
+                             case ControllerSpec::Kind::kPredictive:
+                               return std::string("predictive");
+                             case ControllerSpec::Kind::kQueueing:
+                               return std::string("queueing");
+                             case ControllerSpec::Kind::kPi:
+                               return std::string("pi");
                            }
                            return std::string("unknown");
                          });

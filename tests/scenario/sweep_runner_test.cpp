@@ -4,6 +4,11 @@
 // partial result set.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "scenario/registry.h"
 #include "scenario/result_writer.h"
 #include "scenario/sweep.h"
@@ -65,6 +70,56 @@ TEST(SweepRunnerTest, FailingRunRethrowsAfterDrain) {
   SweepRunner runner(std::move(plan), /*jobs=*/2);
   ASSERT_EQ(runner.planned().size(), 2u);  // expansion itself is fine
   EXPECT_THROW(runner.run(), std::runtime_error);
+}
+
+// Each run reduced on its worker to (index, result digest), as the
+// tournament reduces runs to cells.
+std::vector<uint64_t> reduced_digests(int jobs) {
+  SweepRunner runner(small_plan(), jobs);
+  std::vector<uint64_t> digests(runner.planned().size());
+  runner.run_each([&digests](SweepRun&& run) { digests[run.index] = result_digest(run.result); });
+  return digests;
+}
+
+TEST(SweepRunnerTest, RunEachReducesIdenticallyAcrossThreadCounts) {
+  const std::vector<uint64_t> serial = reduced_digests(1);
+  EXPECT_EQ(serial, reduced_digests(4));
+  // The collecting run() is the same path: same runs, same digests.
+  const auto runs = SweepRunner(small_plan(), /*jobs=*/1).run();
+  ASSERT_EQ(runs.size(), serial.size());
+  for (size_t i = 0; i < runs.size(); ++i) EXPECT_EQ(result_digest(runs[i].result), serial[i]);
+}
+
+TEST(SweepRunnerTest, RunEachRethrowsTheLowestIndexFailureAfterDrain) {
+  // Runs 1 and 3 name missing trace CSVs; run 2's reduce throws too. Every
+  // run still executes, and the failure that surfaces is run 1's.
+  SweepPlan plan;
+  plan.base = Scenario::parse(
+      "[workload]\nkind=trace\ntrace=large-variation\npeak_users=100\n"
+      "[run]\nduration=10\nwarmup=2\n");
+  plan.axes.push_back(parse_axis(
+      "workload.trace=large-variation,/no/such/first.csv,large-variation,/no/such/second.csv"));
+  for (const int jobs : {1, 4}) {
+    SweepRunner runner(plan, jobs);
+    std::atomic<int> reduced{0};
+    try {
+      runner.run_each([&reduced](SweepRun&& run) {
+        ++reduced;
+        if (run.index == 2) throw std::logic_error("reduce failed");
+      });
+      ADD_FAILURE() << "run_each returned normally at --jobs " << jobs;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("first.csv"), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(reduced.load(), 2) << "--jobs " << jobs;  // runs 0 and 2
+  }
+}
+
+TEST(SweepRunnerTest, ExplicitRunListMustBeInIndexOrder) {
+  std::vector<PlannedRun> planned = expand_grid(small_plan());
+  std::swap(planned[0], planned[1]);
+  EXPECT_THROW(SweepRunner(std::move(planned), 1), std::runtime_error);
 }
 
 TEST(SweepRunnerTest, JobsZeroUsesHardwareConcurrency) {

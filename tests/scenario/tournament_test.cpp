@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "control/controller_registry.h"
 
@@ -32,6 +35,39 @@ TEST(TournamentTest, ScorecardDigestIsJobsInvariant) {
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (size_t i = 0; i < a.cells.size(); ++i) {
     EXPECT_EQ(a.cells[i].result_digest, b.cells[i].result_digest) << a.cells[i].controller;
+  }
+}
+
+// The default tournament's scorecard and cell digests, pinned. Cells are
+// reduced as their runs finish and the chaos cells' dead VMs release their
+// storage mid-run; neither may change a number.
+TEST(TournamentTest, DefaultTournamentMatchesPinnedDigests) {
+  const std::vector<std::pair<std::string, uint64_t>> pinned = {
+      {"quickstart/dcm", 7144185091904520420ull},
+      {"quickstart/ec2", 8007654335316031933ull},
+      {"quickstart/pi", 8007654335316031933ull},
+      {"quickstart/predictive", 8007654335316031933ull},
+      {"quickstart/queueing", 5493741160744620268ull},
+      {"fig5/dcm", 2825516737655928980ull},
+      {"fig5/ec2", 3725650455189126203ull},
+      {"fig5/pi", 15993569302546612406ull},
+      {"fig5/predictive", 1022444256241357693ull},
+      {"fig5/queueing", 2126797093468112369ull},
+      {"chaos-resilience/dcm", 11487354307476855148ull},
+      {"chaos-resilience/ec2", 12238669254752686660ull},
+      {"chaos-resilience/pi", 14077071369785010913ull},
+      {"chaos-resilience/predictive", 15578613460414250631ull},
+      {"chaos-resilience/queueing", 3389786098048037093ull},
+  };
+  TournamentOptions options;
+  options.jobs = 2;
+  const Tournament tournament = run_tournament(options);
+  EXPECT_EQ(scorecard_digest(tournament), 6959546997517894393ull);
+  ASSERT_EQ(tournament.cells.size(), pinned.size());
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    const TournamentCell& cell = tournament.cells[i];
+    EXPECT_EQ(cell.scenario + "/" + cell.controller, pinned[i].first);
+    EXPECT_EQ(cell.result_digest, pinned[i].second) << pinned[i].first;
   }
 }
 

@@ -53,11 +53,19 @@ void* operator new(std::size_t size, std::align_val_t align) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+// Every replacement delete frees through this one out-of-line call. Inlined
+// into a caller that got the block from operator new, a bare std::free reads
+// to GCC as a new/free mismatch (-Wmismatched-new-delete); the blocks are
+// malloc'd by the replacement news above, so free is the matching call.
+namespace {
+[[gnu::noinline]] void free_block(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { free_block(p); }
+void operator delete(void* p, std::size_t) noexcept { free_block(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { free_block(p); }
+void operator delete(void* p, std::align_val_t) noexcept { free_block(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { free_block(p); }
 
 namespace dcm::sim {
 namespace {
@@ -234,6 +242,30 @@ TEST(AllocationFreeTest, FanOutJoinRoundTripIsAllocationFreeAtSteadyState) {
   ntier::NTierApp app(engine, core::build_service_graph(spec, {1, 1, 1}, {1000, 100, 80}), 1);
   RoundTripLoop loop{engine, app, {1.0, 1.0, 1.0, 1.0, 1.0}, {1, 1, 2, 2}};
   expect_allocation_free_round_trips(loop);
+}
+
+TEST(AllocationFreeTest, RetiredServerRefusesVisitsWithoutAllocating) {
+  // A silently crashed VM stays in its balancer until a health sweep ejects
+  // it, so visits keep reaching its retired server after the storage is
+  // released. Refusing them must grow nothing back.
+  Engine engine;
+  ntier::NTierApp app(
+      engine, core::build_service_graph(core::TopologySpec{}, {1, 1, 1}, {1000, 100, 80}), 1);
+  ntier::Tier& db = app.tier(2);
+  ASSERT_TRUE(db.inject_crash(db.vms()[0]->id()));
+  engine.run_until(0);  // the release event
+  ntier::Server& server = db.vms()[0]->server();
+  ASSERT_EQ(server.bulk_bytes_reserved(), 0u);
+
+  ntier::RequestPtr request = ntier::make_request_context(&engine.arena());
+  request->demand_scale = {1.0, 1.0, 1.0};
+  int refused = 0;
+  const ntier::DoneFn done = [&refused](bool ok) { refused += ok ? 0 : 1; };
+  const uint64_t before = allocations();
+  for (int i = 0; i < 1000; ++i) server.process(request, done);
+  EXPECT_EQ(allocations(), before);
+  EXPECT_EQ(refused, 1000);
+  EXPECT_EQ(server.bulk_bytes_reserved(), 0u);
 }
 
 // A fixed three-tier plan with no servlet: the per-servlet response-time

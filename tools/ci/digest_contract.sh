@@ -38,6 +38,7 @@ topology     | sweep diamond-cache --axis workload.users=150,300 --axis run.max_
 fanout-retry | sweep fanout-join --set resilience.enabled=true --axis workload.users=150,300 | --jobs 1;--jobs $jobs
 kind-toggle  | sweep chaos-resilience --set run.duration=120 --set resilience.enabled=false --axis controller.kind=dcm,ec2 | --jobs 1;--jobs $jobs
 chaos-pi     | run chaos-resilience --set controller.kind=pi | --jobs 1;--jobs $jobs
+retire       | tournament chaos-resilience --controllers ec2,predictive | --jobs 1;--jobs $jobs
 "
 
 ran=0
