@@ -224,11 +224,12 @@ BENCHMARK(BM_ServerBacklog)->Arg(64)->Arg(4096);
 /// chain (balancer picks, pool/connection waits, CPU service and run-queue
 /// waits, downstream containers on edges 0 and 1), durations drawn from a
 /// cheap LCG so attribution shares vary trace to trace.
+constexpr int kSpansPerTrace = 25;
 template <typename Context>
 void record_trace(Context& ctx, uint64_t& lcg) {
   using dcm::trace::SpanKind;
   dcm::sim::SimTime t = ctx.started;
-  for (int s = 0; s < 25; ++s) {
+  for (int s = 0; s < kSpansPerTrace; ++s) {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
     const dcm::sim::SimTime width = static_cast<dcm::sim::SimTime>((lcg >> 40) % 4'000'000);
     const int tier = (s / 3) % 3;
@@ -260,8 +261,11 @@ void BM_TraceRecordFinalize(benchmark::State& state) {
   // chunks and scratch buffers come from this thread's recycler, refilled
   // by the previous iteration's store, as on a thread that runs traced
   // experiments back to back; only the first iteration allocates them.
+  // bytes_per_span is what the store's context and span chunks hold per
+  // recorded span.
   constexpr int kTraces = 256;
   uint64_t lcg = 1;
+  uint64_t reserved = 0;
   for (auto _ : state) {
     dcm::trace::Tracer tracer(7, dcm::trace::TraceSpec{true, 1.0});
     for (int i = 0; i < kTraces; ++i) {
@@ -271,8 +275,11 @@ void BM_TraceRecordFinalize(benchmark::State& state) {
       ctx->finalize(start + 50'000'000, true);
     }
     benchmark::DoNotOptimize(tracer.sampled());
+    reserved = tracer.store()->bytes_reserved();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kTraces);
+  state.counters["bytes_per_span"] =
+      static_cast<double>(reserved) / (kTraces * kSpansPerTrace);
 }
 BENCHMARK(BM_TraceRecordFinalize);
 

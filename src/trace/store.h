@@ -35,7 +35,7 @@ namespace dcm::trace {
 class TraceStore {
  public:
   static constexpr size_t kContextsPerChunk = 512;  // 44 KiB
-  static constexpr size_t kSpansPerChunk = 2048;    // 64 KiB
+  static constexpr size_t kSpansPerChunk = 2048;    // 48 KiB
 
   /// What the calling thread's recycler holds right now.
   struct ThreadCache {
@@ -125,6 +125,13 @@ class TraceStore {
 
   uint64_t context_chunks() const { return context_chunks_; }
   uint64_t span_chunks() const { return span_chunks_; }
+  static constexpr size_t context_chunk_bytes() { return sizeof(ContextChunk); }
+  static constexpr size_t span_chunk_bytes() { return sizeof(SpanChunk); }
+  /// Bytes the store's chunks occupy, each opened chunk whole. Traces
+  /// longer than a span chunk keep their own buffers and are not counted.
+  uint64_t bytes_reserved() const {
+    return context_chunks_ * context_chunk_bytes() + span_chunks_ * span_chunk_bytes();
+  }
 
  private:
   friend struct TraceContext;

@@ -12,9 +12,9 @@
 //   * sampling is a pure hash of (trace seed, request id), so enabling
 //     tracing at any rate consumes nothing from any random stream.
 //
-// Span times are SimTime (ns). `tier` is the tier depth the span occurred
-// at; kClientTier marks client-side spans (think, client backoff, client
-// deadline waits).
+// Span times are SimTime (ns), stored in 48 bits (see Span). `tier` is the
+// tier depth the span occurred at; kClientTier marks client-side spans
+// (think, client backoff, client deadline waits).
 #pragma once
 
 #include <cstdint>
@@ -52,19 +52,25 @@ bool is_leaf_cause(SpanKind kind);
 /// Spans not tied to a service-graph call edge carry this.
 inline constexpr int kNoEdge = -1;
 
-/// 32 bytes: the three 8-byte fields first, then the narrow ones. Tier
-/// depths and edge ids are range-checked into int16_t where spans are
-/// recorded; every consumer widens them back to int64_t or text.
+/// 24 bytes, three words: `start` beside the tier depth and kind, `end`
+/// beside the edge id, then `value`. Times hold [-2^47, 2^47) ns (about
+/// ±39 simulated hours), tier depths int8 and edge ids int16; spans are
+/// range-checked against these widths where they are recorded, so nothing
+/// truncates. Every consumer reads the fields as plain integers.
 struct Span {
-  sim::SimTime start = 0;
-  sim::SimTime end = 0;
+  static constexpr int kTimeBits = 48;
+  static constexpr int kTierBits = 8;
+  static constexpr int kEdgeBits = 16;
+
+  sim::SimTime start : kTimeBits = 0;
+  int64_t tier : kTierBits = kClientTier;  // tier depth, or kClientTier
+  SpanKind kind : 8 = SpanKind::kThink;
+  sim::SimTime end : kTimeBits = 0;
+  int64_t edge : kEdgeBits = kNoEdge;  // service-graph edge id (kConnWait/
+                                       // kDownstream/kTimeoutWait at a tier),
+                                       // or kNoEdge
   double value = 0.0;  // kind-specific payload (see SpanKind)
-  int16_t tier = kClientTier;  // tier depth, or kClientTier
-  int16_t edge = kNoEdge;      // service-graph edge id (kConnWait/kDownstream/
-                               // kTimeoutWait at a tier), or kNoEdge
-  SpanKind kind = SpanKind::kThink;
 };
-static_assert(sizeof(Span) == 32);
 
 class TraceStore;
 
@@ -99,7 +105,11 @@ struct TraceContext {
   void add_edge_span(SpanKind kind, int tier, int edge, sim::SimTime start,
                      sim::SimTime end, double value = 0.0) {
     if (store_ == nullptr) return;  // finalized, or not from a store
-    scratch_.push_back(Span{start, end, value, narrow(tier), narrow(edge), kind});
+    DCM_CHECK(fits(start, Span::kTimeBits));
+    DCM_CHECK(fits(end, Span::kTimeBits));
+    DCM_CHECK(fits(tier, Span::kTierBits));
+    DCM_CHECK(fits(edge, Span::kEdgeBits));
+    scratch_.push_back(Span{start, tier, kind, end, edge, value});
     spans = {scratch_.data(), scratch_.size()};
   }
 
@@ -110,9 +120,10 @@ struct TraceContext {
  private:
   friend class TraceStore;
 
-  static int16_t narrow(int v) {
-    DCM_CHECK(v >= INT16_MIN && v <= INT16_MAX);
-    return static_cast<int16_t>(v);
+  /// True when `v` is representable in a signed field `bits` wide.
+  static constexpr bool fits(int64_t v, int bits) {
+    const int64_t half = int64_t{1} << (bits - 1);
+    return v >= -half && v < half;
   }
 
   TraceStore* store_ = nullptr;  // set by the store until finalize()

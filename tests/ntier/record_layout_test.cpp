@@ -1,7 +1,8 @@
-// Layout pins for the records every event, CPU job and queued visit carries.
-// A queued visit holds one visit-slab slot plus one worker-pool waiter, so
-// these sizes set the memory a backlog costs; growing any of them is a
-// deliberate decision, not an accident of field order.
+// Layout pins for the records every event, CPU job, queued visit and traced
+// request carries. A queued visit holds one visit-slab slot plus one
+// worker-pool waiter, and a traced request one context plus its spans, so
+// these sizes set the memory a backlog or a trace costs; growing any of them
+// is a deliberate decision, not an accident of field order.
 #include <gtest/gtest.h>
 
 #include "ntier/server.h"
@@ -9,6 +10,8 @@
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "sim/slab.h"
+#include "trace/store.h"
+#include "trace/trace.h"
 
 namespace dcm {
 namespace {
@@ -28,6 +31,15 @@ static_assert(ntier::SlotPool::waiter_bytes() <= 40);
 static_assert(ntier::Server::visit_slot_bytes() <= 104);
 static_assert(ntier::Server::call_slot_bytes() <= 64);
 static_assert(ntier::Server::visit_slot_bytes() + ntier::SlotPool::waiter_bytes() <= 144);
+
+// The per-trace records: three words per span (times packed beside tier,
+// kind and edge), and the context every sampled request holds.
+static_assert(sizeof(trace::Span) == 24);
+static_assert(sizeof(trace::TraceContext) == 88);
+static_assert(trace::TraceStore::span_chunk_bytes() ==
+              trace::TraceStore::kSpansPerChunk * 24 + 16);  // 48 KiB + header
+static_assert(trace::TraceStore::context_chunk_bytes() ==
+              trace::TraceStore::kContextsPerChunk * 88 + 8);  // 44 KiB + link
 
 TEST(RecordLayoutTest, QueuedVisitCostsAtMost144Bytes) {
   // The static_asserts above are the test; this records the figures.

@@ -17,6 +17,8 @@
 #include "core/experiment.h"
 #include "scenario/registry.h"
 #include "scenario/result_writer.h"
+#include "trace/attribution.h"
+#include "trace/store.h"
 
 namespace dcm::scenario {
 namespace {
@@ -69,6 +71,21 @@ INSTANTIATE_TEST_SUITE_P(RegistryRuns, TraceGoldenTest, ::testing::ValuesIn(gold
                          [](const ::testing::TestParamInfo<GoldenCase>& param) {
                            return std::string(param.param.label);
                          });
+
+// What the canonical traced run's store holds. The record sizes are pinned in
+// tests/ntier/record_layout_test.cpp; this pins how many chunks the run opens
+// and the bytes they add up to, so a layout change that grows trace memory
+// fails here as a count.
+TEST(TraceFootprintTest, TraceAttributionRunHoldsPinnedChunks) {
+  const core::ExperimentResult result =
+      core::run_experiment(get_scenario("trace-attribution").experiment());
+  ASSERT_NE(result.trace_report, nullptr);
+  const trace::TraceStore& store = *result.trace_report->store;
+  EXPECT_EQ(store.span_chunks(), 125u);
+  EXPECT_EQ(store.context_chunks(), 20u);
+  // 125 span chunks of 2048 x 24 B + 16 B, 20 context chunks of 512 x 88 B + 8 B.
+  EXPECT_EQ(store.bytes_reserved(), 125u * 49'168u + 20u * 45'064u);
+}
 
 }  // namespace
 }  // namespace dcm::scenario

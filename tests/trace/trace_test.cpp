@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <compare>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -125,8 +126,8 @@ TEST(TraceContextTest, ContextOutsideAStoreRecordsNothing) {
   EXPECT_TRUE(ctx.finalized);
 }
 
-TEST(TraceContextTest, SpanPacksIntoThirtyTwoBytesAndKeepsItsFields) {
-  static_assert(sizeof(Span) == 32);
+// The span's size is pinned in tests/ntier/record_layout_test.cpp.
+TEST(TraceContextTest, SpanKeepsItsFields) {
   TraceStore store;
   TraceContext& ctx = *store.open(1, 0, 0);
   ctx.add_edge_span(SpanKind::kDownstream, 7, 15, from_seconds(1.0), from_seconds(2.5), 0.25);
@@ -141,6 +142,56 @@ TEST(TraceContextTest, SpanPacksIntoThirtyTwoBytesAndKeepsItsFields) {
   EXPECT_EQ(ctx.spans[0].value, 0.25);
   EXPECT_EQ(ctx.spans[1].tier, kClientTier);
   EXPECT_EQ(ctx.spans[1].edge, kNoEdge);
+}
+
+constexpr sim::SimTime kTimeLimit = sim::SimTime{1} << (Span::kTimeBits - 1);  // 2^47 ns
+
+TEST(TraceContextTest, SpanFieldsHoldTheirWholeRangeThroughSealing) {
+  TraceStore store;
+  TraceContext& ctx = *store.open(1, 0, 0);
+  ctx.add_edge_span(SpanKind::kTimeoutWait, 127, INT16_MAX, -(kTimeLimit - 1), kTimeLimit - 1,
+                    -1.5e300);
+  ctx.add_edge_span(SpanKind::kThink, kClientTier, kNoEdge, kTimeLimit - 1, -(kTimeLimit - 1));
+  ctx.add_edge_span(SpanKind::kDownstream, -128, INT16_MIN, -kTimeLimit, 0, 0.5);
+  ctx.finalize(0, true);
+  ASSERT_EQ(ctx.spans.size(), 3u);
+  const Span& a = ctx.spans[0];
+  EXPECT_EQ(a.kind, SpanKind::kTimeoutWait);
+  EXPECT_EQ(a.tier, 127);
+  EXPECT_EQ(a.edge, INT16_MAX);
+  EXPECT_EQ(a.start, -(kTimeLimit - 1));
+  EXPECT_EQ(a.end, kTimeLimit - 1);
+  EXPECT_EQ(a.value, -1.5e300);
+  const Span& b = ctx.spans[1];
+  EXPECT_EQ(b.kind, SpanKind::kThink);
+  EXPECT_EQ(b.tier, kClientTier);
+  EXPECT_EQ(b.edge, kNoEdge);
+  EXPECT_EQ(b.start, kTimeLimit - 1);
+  EXPECT_EQ(b.end, -(kTimeLimit - 1));
+  EXPECT_EQ(b.value, 0.0);
+  const Span& c = ctx.spans[2];
+  EXPECT_EQ(c.kind, SpanKind::kDownstream);
+  EXPECT_EQ(c.tier, -128);
+  EXPECT_EQ(c.edge, INT16_MIN);
+  EXPECT_EQ(c.start, -kTimeLimit);
+  EXPECT_EQ(c.end, 0);
+  EXPECT_EQ(c.value, 0.5);
+}
+
+// One value past each field's range aborts instead of truncating.
+TEST(TraceContextDeathTest, OutOfRangeSpanFieldsAbort) {
+  const auto record = [](int tier, int edge, sim::SimTime start, sim::SimTime end) {
+    TraceStore store;
+    store.open(1, 0, 0)->add_edge_span(SpanKind::kDownstream, tier, edge, start, end);
+  };
+  EXPECT_DEATH(record(0, kNoEdge, kTimeLimit, 0), "DCM_CHECK failed");
+  EXPECT_DEATH(record(0, kNoEdge, -kTimeLimit - 1, 0), "DCM_CHECK failed");
+  EXPECT_DEATH(record(0, kNoEdge, 0, kTimeLimit), "DCM_CHECK failed");
+  EXPECT_DEATH(record(0, kNoEdge, 0, -kTimeLimit - 1), "DCM_CHECK failed");
+  EXPECT_DEATH(record(128, kNoEdge, 0, 0), "DCM_CHECK failed");
+  EXPECT_DEATH(record(-129, kNoEdge, 0, 0), "DCM_CHECK failed");
+  EXPECT_DEATH(record(0, INT16_MAX + 1, 0, 0), "DCM_CHECK failed");
+  EXPECT_DEATH(record(0, INT16_MIN - 1, 0, 0), "DCM_CHECK failed");
 }
 
 TEST(TraceStoreTest, LateSpanAfterFinalizeLeavesTheRecycledScratchAlone) {
