@@ -324,11 +324,11 @@ void write_spans_csv(std::ostream& out, const core::ExperimentResult& result) {
   writer.write_header({"request_id", "servlet", "ok", "attempts", "span", "kind", "tier",
                        "edge", "start_s", "end_s", "duration_s", "value"});
   for (const auto& context : result.trace_report->traces) {
-    for (size_t s = 0; s < context->spans.size(); ++s) {
-      const trace::Span& span = context->spans[s];
+    size_t s = 0;
+    for (const trace::Span& span : context->spans) {
       writer.write_row(std::vector<std::string>{
           std::to_string(context->request_id), std::to_string(context->servlet),
-          context->ok ? "1" : "0", std::to_string(context->attempts), std::to_string(s),
+          context->ok ? "1" : "0", std::to_string(context->attempts), std::to_string(s++),
           trace::span_kind_name(span.kind), trace_tier_name(result, span.tier),
           span.edge == trace::kNoEdge ? "" : std::to_string(span.edge),
           str_format("%.9f", sim::to_seconds(span.start)),

@@ -1,6 +1,7 @@
 #include "trace/store.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -72,9 +73,14 @@ thread_local bool t_recycler_gone = false;
 }  // namespace
 
 struct TraceStore::Recycler {
+  struct Buffer {
+    std::unique_ptr<uint8_t[]> bytes;
+    uint32_t capacity;
+  };
+
   ChunkCache<ContextChunk> contexts;
   ChunkCache<SpanChunk> spans;
-  std::vector<std::vector<Span>> scratch;  // empty, capacity kept
+  std::vector<Buffer> scratch;  // byte buffers, contents dead
   uint64_t scratch_bound = 0;  // the most buffers one destroyed store held
 
   ~Recycler() { t_recycler_gone = true; }
@@ -102,9 +108,9 @@ TraceStore::~TraceStore() {
   }
   // Open traces (and traces longer than a chunk) still hold buffers.
   for (TraceContext* context : contexts()) {
-    if (context->scratch_.capacity() == 0) continue;
-    context->scratch_.clear();
-    recycler->scratch.push_back(std::exchange(context->scratch_, {}));
+    if (context->scratch_ == nullptr) continue;
+    recycler->scratch.push_back(
+        {std::move(context->scratch_), std::exchange(context->scratch_capacity_, 0)});
   }
   recycler->scratch_bound = std::max(recycler->scratch_bound, scratch_peak_);
   if (recycler->scratch.size() > recycler->scratch_bound) {
@@ -132,9 +138,13 @@ TraceContext* TraceStore::open(uint64_t request_id, int servlet, sim::SimTime st
   context.finalized = false;
   context.attempts = 1;
   context.spans = {};
+  context.spans.base_ = started;
+  context.last_start_ = started;
   context.store_ = this;
   if (recycler != nullptr && !recycler->scratch.empty()) {
-    context.scratch_ = std::move(recycler->scratch.back());
+    Recycler::Buffer& buffer = recycler->scratch.back();
+    context.scratch_ = std::move(buffer.bytes);
+    context.scratch_capacity_ = buffer.capacity;
     recycler->scratch.pop_back();
   }
   scratch_peak_ = std::max(scratch_peak_, ++scratch_held_);
@@ -144,24 +154,38 @@ TraceContext* TraceStore::open(uint64_t request_id, int servlet, sim::SimTime st
 void TraceStore::seal(TraceContext& context) {
   Recycler* recycler = Recycler::local();
   context.store_ = nullptr;
-  std::vector<Span>& scratch = context.scratch_;
-  const size_t count = scratch.size();
-  if (count > kSpansPerChunk) return;  // the buffer itself becomes the storage
-  if (count > 0) {
-    if (spans_tail_ == nullptr || kSpansPerChunk - spans_tail_->used < count) {
+  SpanList& spans = context.spans;
+  const size_t size = spans.size_bytes_;
+  if (size > kSealedBytesPerChunk) return;  // the buffer itself becomes the storage
+  if (size > 0) {
+    if (spans_tail_ == nullptr || kSealedBytesPerChunk - spans_tail_->used < size) {
       spans_tail_ = append_chunk(spans_head_, spans_tail_,
                                  take_chunk(recycler == nullptr ? nullptr : &recycler->spans));
-      spans_tail_->used = 0;  // a recycled chunk still counts its last store's spans
+      spans_tail_->used = 0;  // a recycled chunk still counts its last store's bytes
       ++span_chunks_;
     }
-    Span* sealed = spans_tail_->storage.items + spans_tail_->used;
-    std::uninitialized_copy(scratch.begin(), scratch.end(), sealed);
-    spans_tail_->used += count;
-    context.spans = {sealed, count};
+    uint8_t* sealed = spans_tail_->bytes + spans_tail_->used;
+    std::memcpy(sealed, context.scratch_.get(), size);
+    spans_tail_->used += size;
+    spans.bytes_ = sealed;
   }
   --scratch_held_;
-  scratch.clear();
-  if (recycler != nullptr) recycler->scratch.push_back(std::exchange(scratch, {}));
+  if (recycler == nullptr) {
+    context.scratch_.reset();
+  } else if (context.scratch_ != nullptr) {
+    recycler->scratch.push_back({std::move(context.scratch_), context.scratch_capacity_});
+  }
+  context.scratch_capacity_ = 0;
+}
+
+void TraceContext::grow_scratch() {
+  const size_t used = spans.size_bytes_;
+  const size_t capacity = std::max<size_t>(256, 2 * size_t{scratch_capacity_});
+  DCM_CHECK(capacity <= UINT32_MAX);
+  auto grown = std::make_unique_for_overwrite<uint8_t[]>(capacity);
+  if (used > 0) std::memcpy(grown.get(), scratch_.get(), used);
+  scratch_ = std::move(grown);
+  scratch_capacity_ = static_cast<uint32_t>(capacity);
 }
 
 void TraceContext::finalize(sim::SimTime at, bool success) {

@@ -2,9 +2,11 @@
 //
 // Contexts live in fixed-size chunks with stable addresses, so a request
 // holds its context by raw pointer and the store hands them back in
-// sampling order. An open trace appends to a scratch buffer; finalize()
-// seals the spans into a chunked span arena and hands the buffer back, so
-// a warm run records spans without allocating.
+// sampling order. An open trace encodes its spans into a scratch byte
+// buffer; finalize() copies that byte stream into a chunked arena of 48 KiB
+// byte chunks (one memcpy) and hands the buffer back, so a warm run records
+// spans without allocating. Each chunk keeps the span codec's 8-byte read
+// slack behind the last stream it seals.
 //
 // Trace memory outlives the store. When a store dies, its context chunks,
 // span chunks and the scratch buffers its open traces still hold go to the
@@ -17,8 +19,8 @@
 // thread allocates exactly once per chunk opened (context_chunks() +
 // span_chunks()) and pays the first touch of each.
 //
-// A trace longer than a whole span chunk keeps its scratch buffer as its
-// sealed storage instead, until the store dies.
+// A trace whose stream is longer than a whole span chunk keeps its scratch
+// buffer as its sealed storage instead, until the store dies.
 #pragma once
 
 #include <array>
@@ -34,8 +36,11 @@ namespace dcm::trace {
 
 class TraceStore {
  public:
-  static constexpr size_t kContextsPerChunk = 512;  // 44 KiB
-  static constexpr size_t kSpansPerChunk = 2048;    // 48 KiB
+  static constexpr size_t kContextsPerChunk = 512;        // 44 KiB
+  static constexpr size_t kSpanChunkBytes = 48 * 1024;   // 48 KiB of encoded spans
+  /// The most bytes of sealed streams a span chunk takes: the rest is the
+  /// codec's read slack behind the last stream.
+  static constexpr size_t kSealedBytesPerChunk = kSpanChunkBytes - codec::kSlackBytes;
 
   /// What the calling thread's recycler holds right now.
   struct ThreadCache {
@@ -51,13 +56,11 @@ class TraceStore {
     std::unique_ptr<ContextChunk> next;
   };
   struct SpanChunk {
-    // Uninitialized: spans are copied in as traces seal, never zeroed first.
-    union Storage {
-      Storage() {}  // leaves items unconstructed
-      Span items[kSpansPerChunk];
-    } storage;
     size_t used = 0;
     std::unique_ptr<SpanChunk> next;
+    // Uninitialized: streams are copied in as traces seal, never zeroed
+    // first. Last, so a read past the slack leaves the allocation (ASan).
+    uint8_t bytes[kSpanChunkBytes];
   };
   struct Recycler;  // the per-thread cache (store.cpp)
 
@@ -128,7 +131,8 @@ class TraceStore {
   static constexpr size_t context_chunk_bytes() { return sizeof(ContextChunk); }
   static constexpr size_t span_chunk_bytes() { return sizeof(SpanChunk); }
   /// Bytes the store's chunks occupy, each opened chunk whole. Traces
-  /// longer than a span chunk keep their own buffers and are not counted.
+  /// whose stream outgrows a span chunk keep their own buffers and are not
+  /// counted.
   uint64_t bytes_reserved() const {
     return context_chunks_ * context_chunk_bytes() + span_chunks_ * span_chunk_bytes();
   }
@@ -136,8 +140,8 @@ class TraceStore {
  private:
   friend struct TraceContext;
 
-  /// Moves a finalized context's spans into the arena and recycles its
-  /// scratch buffer.
+  /// Copies a finalized context's span bytes into the arena and recycles
+  /// its scratch buffer.
   void seal(TraceContext& context);
 
   uint64_t count_ = 0;

@@ -32,12 +32,13 @@ static_assert(ntier::Server::visit_slot_bytes() <= 104);
 static_assert(ntier::Server::call_slot_bytes() <= 64);
 static_assert(ntier::Server::visit_slot_bytes() + ntier::SlotPool::waiter_bytes() <= 144);
 
-// The per-trace records: three words per span (times packed beside tier,
-// kind and edge), and the context every sampled request holds.
-static_assert(sizeof(trace::Span) == 24);
+// The per-trace records: the context every sampled request holds, and the
+// span byte stream's bounds. A span is not a stored record: it is encoded
+// into at most 29 bytes, and a span chunk holds 48 KiB of those streams.
 static_assert(sizeof(trace::TraceContext) == 88);
-static_assert(trace::TraceStore::span_chunk_bytes() ==
-              trace::TraceStore::kSpansPerChunk * 24 + 16);  // 48 KiB + header
+static_assert(trace::codec::kMaxSpanBytes == 29);
+static_assert(trace::codec::kSlackBytes == 8);
+static_assert(trace::TraceStore::span_chunk_bytes() == 48 * 1024 + 16);  // 48 KiB + header
 static_assert(trace::TraceStore::context_chunk_bytes() ==
               trace::TraceStore::kContextsPerChunk * 88 + 8);  // 44 KiB + link
 

@@ -5,6 +5,8 @@
 // bound, and that a store may die on a thread other than its own.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -132,16 +134,16 @@ TEST(TraceRecyclerTest, ReusedContextShowsNoStaleState) {
     // Both recycled buffers start empty: one span in, one span out.
     second->add_span(SpanKind::kBackoff, kClientTier, from_seconds(9.5), from_seconds(9.6));
     ASSERT_EQ(second->spans.size(), 1u);
-    EXPECT_EQ(second->spans[0].kind, SpanKind::kBackoff);
+    EXPECT_EQ(second->spans.begin()->kind, SpanKind::kBackoff);
     second->finalize(from_seconds(10.0), false);
     ASSERT_EQ(second->spans.size(), 1u);
-    EXPECT_EQ(second->spans[0].start, from_seconds(9.5));
+    EXPECT_EQ(second->spans.begin()->start, from_seconds(9.5));
     EXPECT_TRUE(first->spans.empty());
   }).join();
 }
 
-// Opens `traces` contexts, `concurrent` at a time, each with `spans` spans,
-// and settles them all.
+// Opens `traces` contexts, `concurrent` at a time, each with `spans` spans
+// [s, s + 1), and settles them all.
 void fill(TraceStore& store, size_t traces, size_t concurrent, size_t spans) {
   std::vector<TraceContext*> open;
   for (size_t t = 0; t < traces; ++t) {
@@ -158,13 +160,26 @@ void fill(TraceStore& store, size_t traces, size_t concurrent, size_t spans) {
   }
 }
 
+// The bytes one trace of fill() encodes to, counted without a store (a
+// store would stock this thread's recycler).
+size_t fill_trace_bytes(size_t spans) {
+  std::vector<uint8_t> buffer(spans * codec::kMaxSpanBytes + codec::kSlackBytes);
+  uint8_t* end = buffer.data();
+  for (size_t s = 0; s < spans; ++s) {
+    const auto start = static_cast<sim::SimTime>(s);
+    end = codec::encode(end, SpanKind::kService, 0, kNoEdge, s == 0 ? 0 : start - 1, start,
+                        start + 1, 0.0);
+  }
+  return static_cast<size_t>(end - buffer.data());
+}
+
 TEST(TraceRecyclerTest, LargerStoreFallsBackToFreshChunksAndTheCacheKeepsItsBound) {
   std::thread([] {
     constexpr size_t kContexts = TraceStore::kContextsPerChunk;
     constexpr size_t kSpans = 16;
-    constexpr size_t kTracesPerChunk = TraceStore::kSpansPerChunk / kSpans;
-    const auto span_chunks = [](size_t traces) {
-      return (traces + kTracesPerChunk - 1) / kTracesPerChunk;
+    const size_t traces_per_chunk = TraceStore::kSealedBytesPerChunk / fill_trace_bytes(kSpans);
+    const auto span_chunks = [traces_per_chunk](size_t traces) {
+      return (traces + traces_per_chunk - 1) / traces_per_chunk;
     };
     {
       TraceStore small;
@@ -246,7 +261,7 @@ TEST(TraceRecyclerTest, StoreDestroyedOnAnotherThreadRecyclesThere) {
     for (const TraceContext* context : next.contexts()) {
       EXPECT_EQ(context->request_id, id++);
       ASSERT_EQ(context->spans.size(), 2u);
-      EXPECT_EQ(context->spans[1].end, 2);
+      EXPECT_EQ(std::next(context->spans.begin())->end, 2);
     }
     EXPECT_EQ(TraceStore::thread_cache().context_chunks, context_chunks - 1);
   }).join();

@@ -35,6 +35,7 @@ trace-heavy  | run trace-attribution --set run.duration=60 | ;--trace-rate 0.25;
 trace-sweep  | sweep trace-attribution --set run.duration=60 --axis workload.users=150,300 --trace | --jobs 1;--jobs $jobs
 tournament   | tournament quickstart chaos-resilience --set run.duration=120 | --jobs 1;--jobs $jobs
 topology     | sweep diamond-cache --axis workload.users=150,300 --axis run.max_vms=4,8 | --jobs 1;--jobs $jobs
+topology-trace | run diamond-cache --set run.duration=60 | ;--trace-rate 0.25;--set trace.enabled=false
 fanout-retry | sweep fanout-join --set resilience.enabled=true --axis workload.users=150,300 | --jobs 1;--jobs $jobs
 kind-toggle  | sweep chaos-resilience --set run.duration=120 --set resilience.enabled=false --axis controller.kind=dcm,ec2 | --jobs 1;--jobs $jobs
 chaos-pi     | run chaos-resilience --set controller.kind=pi | --jobs 1;--jobs $jobs
@@ -51,7 +52,7 @@ while IFS='|' read -r name args variants; do
   for variant in "${variant_list[@]}"; do
     # shellcheck disable=SC2086  # args and variant are word lists
     digest=$("$dcm_run" $args $variant --digest --quiet)
-    printf '%-13s %-20s %s\n' "$name" "[$(echo $variant)]" "$digest"
+    printf '%-14s %-20s %s\n' "$name" "[$(echo $variant)]" "$digest"
     if [ -z "$first" ]; then
       first=$digest
     elif [ "$digest" != "$first" ]; then
