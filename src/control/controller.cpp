@@ -135,46 +135,17 @@ bool ControllerBase::apply_hardware_rule(size_t tier_index, const TierObservatio
   return apply_threshold_rule(tier_index, obs, out_signal, obs.mean_util, rt_violation);
 }
 
-bool ControllerBase::membership_churned(size_t tier_index, const TierObservation& obs) {
-  const int capacity = obs.active_vms + obs.booting_vms;
-  auto& last = last_capacity_[tier_index];
-  const bool churned = last >= 0 && capacity != last;
-  last = capacity;
-  return churned;
-}
-
 bool ControllerBase::apply_threshold_rule(size_t tier_index, const TierObservation& obs,
                                           double out_signal, double in_signal, bool force_out) {
   if (tier_index == 0 && !policy_.scale_front_tier) return false;
   if (obs.samples == 0) return false;
-
-  auto& streak = low_util_streak_[tier_index];
-  // Capacity changed since the last sampled period (a launch, a crash, a
-  // replacement): the below-threshold streak was gathered against a
-  // different fleet, so restart the slow scale-in clock.
-  if (membership_churned(tier_index, obs)) streak = 0;
 
   // Both gates see every sampled period so their state tracks the signal
   // even while the other side is acting. Width 0 degenerates to the
   // historical strict `>` / `<` comparisons.
   const bool out_hot = scale_out_gate_[tier_index].update(out_signal, policy_.scale_out_util);
   const bool in_hot = scale_in_gate_[tier_index].update(in_signal, policy_.scale_in_util);
-
-  if (out_hot || force_out) {
-    streak = 0;
-    if (policy_.wait_for_booting && obs.booting_vms > 0) return false;
-    return vm_agent_.scale_out(tier_index);
-  }
-  if (in_hot) {
-    ++streak;
-    if (streak >= policy_.scale_in_consecutive) {
-      streak = 0;
-      return vm_agent_.scale_in(tier_index);
-    }
-    return false;
-  }
-  streak = 0;
-  return false;
+  return actuate(tier_index, obs, out_hot || force_out, in_hot);
 }
 
 bool ControllerBase::actuate_toward(size_t tier_index, const TierObservation& obs,
@@ -182,29 +153,37 @@ bool ControllerBase::actuate_toward(size_t tier_index, const TierObservation& ob
   if (tier_index == 0 && !policy_.scale_front_tier) return false;
   if (obs.samples == 0) return false;
 
-  auto& streak = low_util_streak_[tier_index];
-  if (membership_churned(tier_index, obs)) streak = 0;
-
   // Booting VMs count toward provisioned capacity so a deficit already being
-  // filled doesn't trigger a second launch.
-  const int provisioned = obs.active_vms + obs.booting_vms;
-  if (desired_active > provisioned) {
+  // filled doesn't trigger a second launch; a surplus only counts once the
+  // fleet has settled.
+  const bool deficit = desired_active > obs.active_vms + obs.booting_vms;
+  const bool surplus = desired_active < obs.active_vms && obs.booting_vms == 0;
+  return actuate(tier_index, obs, deficit, surplus);
+}
+
+bool ControllerBase::actuate(size_t tier_index, const TierObservation& obs, bool out, bool in) {
+  auto& streak = low_util_streak_[tier_index];
+  // Capacity changed since the last sampled period (a launch, a crash, a
+  // replacement): the scale-in streak was gathered against a different
+  // fleet, so restart the slow scale-in clock.
+  const int capacity = obs.active_vms + obs.booting_vms;
+  auto& last = last_capacity_[tier_index];
+  if (last >= 0 && capacity != last) streak = 0;
+  last = capacity;
+
+  if (out) {
     streak = 0;
     if (policy_.wait_for_booting && obs.booting_vms > 0) return false;
     return vm_agent_.scale_out(tier_index);
   }
-  if (desired_active < obs.active_vms && obs.booting_vms == 0) {
-    // Surplus: same "slow turn off" discipline as the threshold rule — the
-    // surplus must persist for scale_in_consecutive periods.
-    ++streak;
-    if (streak >= policy_.scale_in_consecutive) {
-      streak = 0;
-      return vm_agent_.scale_in(tier_index);
-    }
+  if (!in) {
+    streak = 0;
     return false;
   }
+  // "Slow turn off": scale in only after scale_in_consecutive periods in a row.
+  if (++streak < policy_.scale_in_consecutive) return false;
   streak = 0;
-  return false;
+  return vm_agent_.scale_in(tier_index);
 }
 
 }  // namespace dcm::control

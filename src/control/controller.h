@@ -104,11 +104,13 @@ class ControllerBase {
 
  private:
   void control_tick();
-  /// Tracks the tier's provisioned VM count (active + booting) and reports
-  /// whether it changed since the previous sampled period. Membership churn
-  /// invalidates the slow scale-in streak: evidence gathered against the old
-  /// capacity says nothing about the new one.
-  bool membership_churned(size_t tier_index, const TierObservation& obs);
+  /// The shared tail of apply_threshold_rule and actuate_toward, given the
+  /// period's scale-out and scale-in verdicts: resets the scale-in streak on
+  /// membership churn (a change in active + booting VMs since the previous
+  /// sampled period), scales out on `out` (held while a VM boots under
+  /// wait_for_booting), and scales in once `in` has held for
+  /// scale_in_consecutive periods. Returns true if an action was taken.
+  bool actuate(size_t tier_index, const TierObservation& obs, bool out, bool in);
 
   sim::Engine* engine_;
   ntier::NTierApp* app_;

@@ -175,8 +175,9 @@ struct ExperimentResult {
   int sla_violation_seconds = 0;
   int measured_seconds = 0;
 
-  /// Engine events dispatched over the whole run — the macro benchmark's
-  /// work unit (events/sec). Diagnostic only; never feeds the result digest.
+  /// Engine events dispatched over the whole run — the benchmark's work
+  /// unit (perfbench's host.events_per_s). Diagnostic only; never feeds the
+  /// result digest.
   uint64_t events_dispatched = 0;
 
   /// Present only when config.trace.enabled: sampled span streams plus the

@@ -23,9 +23,10 @@ bool has_scenario(const std::string& name);
 
 /// Expected `result_digest` of one canonical run of the named scenario
 /// (`run_experiment(get_scenario(name).experiment())`, no overrides). The
-/// macro benchmark and the digest regression tests verify against these, so
-/// a hot-path "optimisation" that changes any reproduced number fails
-/// loudly. nullopt for scenarios without a pinned digest.
+/// repository benchmark (`perfbench/dcm_bench`) and the digest regression
+/// tests verify against these, so a hot-path "optimisation" that changes
+/// any reproduced number fails loudly. nullopt for scenarios without a
+/// pinned digest.
 std::optional<uint64_t> expected_result_digest(const std::string& name);
 
 /// The registered INI text, verbatim. Throws std::runtime_error on an

@@ -194,6 +194,35 @@ TEST_F(QueueingTest, SurplusMustPersistForTheScaleInStreak) {
   EXPECT_EQ(app_.tier(1).active_vm_count(), 1) << "third consecutive period drains";
 }
 
+TEST_F(QueueingTest, MembershipChurnResetsTheSurplusStreak) {
+  ASSERT_TRUE(app_.tier(1).scale_out());
+  ASSERT_TRUE(app_.tier(1).scale_out());
+  QueueingController controller(engine_, app_, broker_, QueueingConfig{});
+  controller.start();
+  engine_.run_until(sim::from_seconds(16.0));
+  ASSERT_EQ(app_.tier(1).active_vm_count(), 3);
+  // Demand at most 0.45 busy-servers inverts to k* = 1: a surplus on every
+  // period below. Two surplus periods build the streak...
+  step(30.0, 0.15);
+  step(45.0, 0.15);
+  ASSERT_EQ(app_.tier(1).active_vm_count(), 3);
+
+  // ...then the membership changes mid-streak (an operator retires a VM; a
+  // crash looks identical to the controller). The surplus was measured
+  // against the old fleet, so the streak must restart.
+  ASSERT_TRUE(app_.tier(1).scale_in());
+  step(60.0, 0.15);
+  EXPECT_EQ(app_.tier(1).active_vm_count(), 2)
+      << "third surplus period after churn must not complete the old streak";
+
+  // Two more surplus periods complete a fresh streak against the stable fleet.
+  step(75.0, 0.15);
+  EXPECT_EQ(app_.tier(1).active_vm_count(), 2);
+  step(90.0, 0.15);
+  EXPECT_EQ(app_.tier(1).active_vm_count(), 1);
+  EXPECT_EQ(controller.log().filtered("scale_in").size(), 1u);
+}
+
 // --- PI ---
 
 class PiTest : public ZooTest {};

@@ -72,7 +72,7 @@ void report(std::vector<Diagnostic>& out, std::string_view rule, const FileConte
 // sim time comes from sim::Engine::now(), never the host clock. Scoped to
 // hot-path-reachable functions: a clock read in a helper the dispatch loop
 // calls is an error wherever the helper lives, while cold timing code (e.g.
-// the macro-bench wall-time measurement around run_experiment) is legal.
+// a benchmark's wall-time measurement around run_experiment) is legal.
 
 class NoWallClock final : public Rule {
  public:

@@ -27,6 +27,8 @@ function(expect_dcm_run pattern)
 endfunction()
 
 expect_dcm_run("^result_digest 8007654335316031933$" run quickstart --digest --quiet)
+expect_dcm_run("^result_digest 3232967541302041960$" run diamond-cache --digest --quiet)
+expect_dcm_run("^result_digest 4785642922260310638$" run fanout-join --digest --quiet)
 expect_dcm_run("^sweep_digest [0-9]+$"
                sweep quickstart --axis controller.kind=ec2,dcm --digest --quiet)
 expect_dcm_run("^scorecard_digest [0-9]+$"

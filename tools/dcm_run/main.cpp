@@ -8,11 +8,6 @@
 //       Run one scenario.
 //   dcm_run sweep <scenario|file.ini> --axis section.key=v1,v2,... [options]
 //       Expand the axes' cartesian grid and run every point.
-//   dcm_run bench [scenario...] [--reps N] [--json path|-] [--quiet]
-//       Macro benchmark: events/sec + simulated-seconds per wall-second for
-//       the named scenarios (default: the committed BENCH_macro.json suite),
-//       each run digest-verified against the scenario registry. Exit 1 on
-//       any digest mismatch.
 //   dcm_run tournament [scenario...] [--controllers a,b,...] [options]
 //       Race the controller zoo: sweep every named controller (default: all
 //       registered) across the named scenarios (default: quickstart, fig5,
@@ -59,7 +54,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "scenario/macro_bench.h"
 #include "scenario/registry.h"
 #include "scenario/report.h"
 #include "scenario/result_writer.h"
@@ -74,12 +68,11 @@ namespace {
 struct Options {
   std::string command;
   std::string target;
-  std::vector<std::string> targets;  // bench/tournament scenarios, report figures
+  std::vector<std::string> targets;  // tournament scenarios, report figures
   std::vector<std::string> sets;
   std::vector<std::string> axes;
   std::vector<std::string> controllers;  // tournament; empty = all registered
   int jobs = 1;
-  int reps = 3;
   scenario::SeedPolicy seed_policy = scenario::SeedPolicy::kDerivePerRun;
   std::string json_path;
   std::string csv_prefix;
@@ -99,12 +92,11 @@ int usage(const char* argv0) {
                "             [--jobs N] [--seed-policy derive|fixed] [--set s.k=v]...\n"
                "             [--json path|-] [--csv prefix] [--trace] [--trace-rate R]\n"
                "             [--digest] [--quiet]\n"
-               "       %s bench [scenario...] [--reps N] [--json path|-] [--quiet]\n"
                "       %s tournament [scenario...] [--controllers a,b,...] [--jobs N]\n"
                "             [--set s.k=v]... [--json path|-] [--csv prefix] [--digest]\n"
                "             [--quiet]\n"
                "       %s report [figure...] [--quiet]\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -198,31 +190,6 @@ void write_outputs(const Options& opts, const std::string& name,
       }
     }
   }
-}
-
-int cmd_bench(const Options& opts) {
-  scenario::MacroBenchOptions bench;
-  bench.scenarios = opts.targets;
-  bench.repetitions = opts.reps;
-  const auto rows = scenario::run_macro_suite(bench);
-  if (!opts.quiet) scenario::print_macro_table(rows);
-  if (!opts.json_path.empty()) {
-    if (opts.json_path == "-") {
-      scenario::write_macro_json(std::cout, rows);
-    } else {
-      std::ofstream out(opts.json_path);
-      if (!out) throw std::runtime_error("cannot open " + opts.json_path);
-      scenario::write_macro_json(out, rows);
-      if (!opts.quiet) std::printf("wrote %s\n", opts.json_path.c_str());
-    }
-  }
-  if (!scenario::all_digests_ok(rows)) {
-    std::fprintf(stderr,
-                 "dcm_run: bench digest mismatch against the scenario registry — "
-                 "the simulation's output changed\n");
-    return 1;
-  }
-  return 0;
 }
 
 int cmd_tournament(const Options& opts) {
@@ -348,10 +315,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--set") {
       opts.sets.push_back(next());
-    } else if (arg == "--reps") {
-      const auto parsed = parse_int(next());
-      if (!parsed || *parsed < 1) return usage(argv[0]);
-      opts.reps = static_cast<int>(*parsed);
     } else if (arg == "--axis") {
       opts.axes.push_back(next());
     } else if (arg == "--controllers") {
@@ -394,8 +357,7 @@ int main(int argc, char** argv) {
     } else if (arg[0] == '-') {
       std::fprintf(stderr, "dcm_run: unknown flag '%s'\n", arg.c_str());
       return 2;
-    } else if (opts.command == "bench" || opts.command == "tournament" ||
-               opts.command == "report") {
+    } else if (opts.command == "tournament" || opts.command == "report") {
       opts.targets.push_back(arg);
     } else if (opts.target.empty()) {
       opts.target = arg;
@@ -407,7 +369,6 @@ int main(int argc, char** argv) {
   set_log_level(LogLevel::kWarn);
   try {
     if (opts.command == "list") return cmd_list();
-    if (opts.command == "bench") return cmd_bench(opts);
     if (opts.command == "tournament") return cmd_tournament(opts);
     if (opts.command == "report") return cmd_report(opts);
     if (opts.command == "show" && !opts.target.empty()) return cmd_show(opts.target);
