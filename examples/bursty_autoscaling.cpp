@@ -1,13 +1,14 @@
 // Bursty-workload autoscaling: DCM vs hardware-only EC2-AutoScale.
 //
-//   $ ./bursty_autoscaling [trace.csv] [output_prefix]
+//   $ ./bursty_autoscaling [trace.csv|pattern] [output_prefix]
 //
-// Replays a user-count trace (default: the built-in Large-Variation trace)
-// against both controllers and writes per-second CSV timelines — the data
-// behind the paper's Fig. 5 panels — to <prefix>_dcm.csv / <prefix>_ec2.csv.
+// Replays a user-count trace (a CSV path or a taxonomy pattern name;
+// default: the built-in Large-Variation trace) against both controllers and
+// writes per-second CSV timelines — the data behind the paper's Fig. 5
+// panels — to <prefix>_dcm.csv / <prefix>_ec2.csv.
 //
 // Thin client of the scenario registry: the two runs are the registered
-// "fig5" / "fig5-ec2" scenarios; a trace CSV on the command line overrides
+// "fig5" / "fig5-ec2" scenarios; a trace on the command line overrides
 // their workload.trace. All output goes through the shared dcm-result-v1
 // writers.
 #include <cstdio>

@@ -361,64 +361,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   return result;
 }
 
-std::vector<SweepPoint> jmeter_concurrency_sweep(const ExperimentConfig& base,
-                                                 const std::vector<int>& concurrencies,
-                                                 bool match_app_pools) {
-  std::vector<SweepPoint> points;
-  points.reserve(concurrencies.size());
-  for (int c : concurrencies) {
-    DCM_CHECK(c >= 1);
-    ExperimentConfig config = base;
-    config.workload = WorkloadSpec::jmeter(c);
-    // Each sweep point is an independent run: decorrelate via the root
-    // seed so no point shares streams with another.
-    config.seed = derive_seed(base.seed, static_cast<uint64_t>(c));
-    config.controller = ControllerSpec::none();
-    if (match_app_pools) config.soft.app_threads = c;
-    const ExperimentResult result = run_experiment(config);
-    // Per-node server counts come from the materialized topology (for the
-    // chains this reproduces the old web/app/db hardware mapping).
-    const ntier::ServiceGraph graph = build_service_graph(
-        config.topology, config.hardware, config.soft, config.max_vms_per_tier);
-
-    SweepPoint point;
-    point.concurrency = c;
-    point.throughput = result.mean_throughput;
-    point.response_time = result.mean_response_time;
-    const sim::SimTime warmup = sim::from_seconds(config.warmup_seconds);
-    for (size_t i = 0; i < result.tiers.size(); ++i) {
-      metrics::Welford conc;
-      for (const auto& bucket : result.tiers[i].concurrency.buckets()) {
-        if (bucket.start < warmup) continue;
-        conc.merge(bucket.stat);
-      }
-      const int servers = graph.node(i).tier.initial_vms;
-      point.per_server_concurrency.push_back(conc.mean() / std::max(1, servers));
-    }
-    points.push_back(std::move(point));
-  }
-  return points;
-}
-
-namespace {
-
-// Drives `generator` to `duration`: post-warmup throughput, whole-run mean RT.
-SweepPoint measure(sim::Engine& engine, workload::ClosedLoopGenerator& generator, int users,
-                   double warmup, double duration) {
-  generator.start();
-  engine.run_until(sim::from_seconds(duration));
-  const workload::ClientStats& stats = generator.stats();
-  return {users, stats.mean_throughput(sim::from_seconds(warmup), sim::from_seconds(duration)),
-          stats.response_time_stats().mean(), {}};
-}
-
-}  // namespace
-
+// Kept off the scenario path while fig2a.peak-at-40 holds only by seed luck (ROADMAP item 2).
 std::vector<SweepPoint> mysql_concurrency_sweep(const std::vector<int>& concurrencies) {
   TopologySpec mysql_only;
   mysql_only.kind = TopologySpec::Kind::kGraph;
   mysql_only.nodes = {{"mysql", "db"}};
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
+  const sim::SimTime warmup = sim::from_seconds(10.0);
+  const sim::SimTime duration = sim::from_seconds(60.0);
   std::vector<SweepPoint> points;
   for (const int n : concurrencies) {
     DCM_CHECK(n >= 1);
@@ -430,42 +380,13 @@ std::vector<SweepPoint> mysql_concurrency_sweep(const std::vector<int>& concurre
     clients.seed = 1000 + static_cast<uint64_t>(n);
     workload::ClosedLoopGenerator generator(
         engine, app, workload::graph_request_factory(catalog, *app.graph()), std::move(clients));
-    points.push_back(measure(engine, generator, n, /*warmup=*/10.0, /*duration=*/60.0));
+    generator.start();
+    engine.run_until(duration);
+    const workload::ClientStats& stats = generator.stats();
+    points.push_back({n, stats.mean_throughput(warmup, duration),
+                      stats.response_time_stats().mean()});
   }
   return points;
-}
-
-ModelTraining train_tier_model(const ExperimentConfig& base, size_t tier, double visit_ratio,
-                               double concurrency_cap, const std::vector<int>& offered) {
-  ModelTraining out;
-  std::vector<model::TrainingSample> samples;
-  for (const auto& p : jmeter_concurrency_sweep(base, offered, /*match_app_pools=*/true)) {
-    const double conc = p.per_server_concurrency[tier];
-    if (conc < 0.8 || conc > concurrency_cap) continue;
-    samples.push_back({std::max(1.0, conc), p.throughput});
-    out.max_concurrency = std::max(out.max_concurrency, conc);
-  }
-  out.samples = samples.size();
-  const ntier::ServiceGraph graph =
-      build_service_graph(base.topology, base.hardware, base.soft, base.max_vms_per_tier);
-  const model::Trainer trainer(/*servers=*/1, visit_ratio);
-  out.normalized = trainer.fit_normalized(samples);
-  out.known_s0 = trainer.fit_with_known_s0(graph.node(tier).tier.server.cpu.params.s0, samples);
-  return out;
-}
-
-SweepPoint run_with_lb_policy(const ExperimentConfig& config, ntier::LbPolicy policy) {
-  sim::Engine engine;
-  const ntier::ServiceGraph chain =
-      build_service_graph(config.topology, config.hardware, config.soft);
-  std::vector<ntier::ServiceNode> nodes = chain.nodes();
-  for (auto& node : nodes) node.tier.lb_policy = policy;
-  ntier::NTierApp app(engine, ntier::ServiceGraph(std::move(nodes), chain.edges()), config.seed);
-  const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
-  auto generator = workload::make_rubbos_clients(engine, app, catalog, config.workload.users,
-                                                 config.workload.mean_think_seconds);
-  return measure(engine, *generator, config.workload.users, config.warmup_seconds,
-                 config.duration_seconds);
 }
 
 }  // namespace dcm::core

@@ -1,8 +1,9 @@
 // ExperimentRunner — one-call wiring of engine + app + monitoring bus +
 // workload + (optional) controller, with per-second system timelines.
 //
-// Every bench and example builds on this facade; it is the reproduction's
-// equivalent of the paper's testbed harness.
+// Every scenario, report figure and example builds on this facade; it is
+// the reproduction's equivalent of the paper's testbed harness. The one
+// exception is Fig. 2(a)'s one-node sweep at the end of this file.
 #pragma once
 
 #include <memory>
@@ -21,7 +22,6 @@
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "metrics/timeseries.h"
-#include "model/trainer.h"
 #include "trace/attribution.h"
 #include "workload/client_stats.h"
 #include "workload/trace.h"
@@ -190,49 +190,18 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-/// Sweep helper for the Table I training: measures steady-state
-/// throughput of the given deployment under a JMeter closed loop at each
-/// offered concurrency. When `match_pools` is true the app-tier thread pool
-/// is set to the offered concurrency (the paper's "matching thread pool"
-/// training discipline — concurrency in the server equals the workload's).
+/// One point of Fig. 2(a)'s sweep.
 struct SweepPoint {
   int concurrency = 0;       // offered (JMeter users)
-  double throughput = 0.0;   // steady-state system throughput (req/s)
-  double response_time = 0.0;
-  /// Measured mean request-processing concurrency per server, per tier —
-  /// the x-axis the paper's model training actually uses.
-  std::vector<double> per_server_concurrency;
+  double throughput = 0.0;   // post-warmup throughput (req/s)
+  double response_time = 0.0;  // whole-run mean
 };
-
-std::vector<SweepPoint> jmeter_concurrency_sweep(const ExperimentConfig& base,
-                                                 const std::vector<int>& concurrencies,
-                                                 bool match_app_pools);
 
 /// Fig. 2(a): one MySQL node under a zero-think JMeter closed loop whose
 /// user count and worker cap both equal the offered concurrency (the
 /// paper's "matching thread pool" discipline), 60 s per point with the
-/// throughput measured after 10 s; point n runs on seed 1000 + n.
-/// `response_time` is the whole-run mean; per_server_concurrency is empty.
+/// throughput measured after 10 s; point n runs on seed 1000 + n. Every
+/// other paper run goes through the scenario vocabulary (`dcm_run report`).
 std::vector<SweepPoint> mysql_concurrency_sweep(const std::vector<int>& concurrencies);
-
-struct ModelTraining {
-  size_t samples = 0;
-  double max_concurrency = 0.0;
-  model::TrainedModel normalized;  // γ pinned to 1 — what the controller uses
-  model::TrainedModel known_s0;    // S0 fixed to the tier's single-thread demand
-};
-
-/// Table I: a matching-pool jmeter_concurrency_sweep of `base` over
-/// `offered`, keeping the points whose measured per-server concurrency at
-/// graph node `tier` lies in [0.8, concurrency_cap], then both
-/// Levenberg–Marquardt fits of Eq. 7 (one server, the given visit ratio).
-ModelTraining train_tier_model(const ExperimentConfig& base, size_t tier, double visit_ratio,
-                               double concurrency_cap, const std::vector<int>& offered);
-
-/// Ablation A2: `config`'s deployment with every tier balanced by `policy`
-/// (a topology-level knob the scenario vocabulary does not expose), driven
-/// by RUBBoS clients with no controller. Returns the post-warmup throughput
-/// and the whole-run mean response time.
-SweepPoint run_with_lb_policy(const ExperimentConfig& config, ntier::LbPolicy policy);
 
 }  // namespace dcm::core

@@ -75,13 +75,16 @@ ntier::TierConfig graph_node_tier(const std::string& name, ntier::NodeRole role,
 }
 
 /// The canonical chains as fixed node/edge lists: chain3 is the paper's
-/// web → app → db deployment, chain4 splices the HAProxy hop in front of the
-/// db. Edges are declared in depth order (edge id = issuing tier's depth);
-/// the app tier's query edge carries the managed DB connection pool.
-TopologySpec canonical_chain(TopologySpec::Kind kind) {
+/// web → app → db deployment, chain4 splices the HAProxy hop (a
+/// near-zero-demand pass-through that is never scaled) in front of the db.
+/// Edges are declared in depth order (edge id = issuing tier's depth); the
+/// app tier's query edge carries the managed DB connection pool. The
+/// chain's balancer policy carries over.
+TopologySpec canonical_chain(const TopologySpec& chain) {
   TopologySpec spec;
   spec.kind = TopologySpec::Kind::kGraph;
-  if (kind == TopologySpec::Kind::kChain3) {
+  spec.lb_policy = chain.lb_policy;
+  if (chain.kind == TopologySpec::Kind::kChain3) {
     spec.nodes = {{"apache", "web"}, {"tomcat", "app"}, {"mysql", "db"}};
     spec.edges = {{"apache", "tomcat", 1, false, false}, {"tomcat", "mysql", 0, true, true}};
   } else {
@@ -136,7 +139,7 @@ ntier::CpuModelConfig cache_cpu_model() {
 ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig hw,
                                         SoftAllocation soft, int max_vms_per_tier) {
   if (spec.kind != TopologySpec::Kind::kGraph) {
-    return build_service_graph(canonical_chain(spec.kind), hw, soft, max_vms_per_tier);
+    return build_service_graph(canonical_chain(spec), hw, soft, max_vms_per_tier);
   }
   if (spec.nodes.empty()) spec_error("graph topology declares no nodes");
   std::unordered_map<std::string, int> ids;
@@ -153,6 +156,7 @@ ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig
       spec_error("duplicate node name '" + n.name + "'");
     }
     nodes.push_back({graph_node_tier(n.name, role, hw, soft, max_vms_per_tier), role});
+    nodes.back().tier.lb_policy = spec.lb_policy;
   }
   std::vector<ntier::ServiceEdge> edges;
   edges.reserve(spec.edges.size());
@@ -175,13 +179,6 @@ ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig
     edges.push_back(edge);
   }
   return ntier::ServiceGraph(std::move(nodes), std::move(edges));
-}
-
-ntier::ServiceGraph rubbos_4tier_graph(HardwareConfig hw, SoftAllocation soft,
-                                       int max_vms_per_tier) {
-  TopologySpec spec;
-  spec.kind = TopologySpec::Kind::kChain4;
-  return build_service_graph(spec, hw, soft, max_vms_per_tier);
 }
 
 model::ConcurrencyModel tomcat_reference_model(int servers) {

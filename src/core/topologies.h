@@ -13,6 +13,7 @@
 
 #include "model/concurrency_model.h"
 #include "ntier/app.h"
+#include "ntier/load_balancer.h"
 #include "ntier/service_graph.h"
 
 namespace dcm::core {
@@ -50,7 +51,8 @@ struct SoftAllocation {
 /// (kChain3 = web/app/db, kChain4 = web/app/db-lb/db with the HAProxy hop)
 /// as fixed node/edge lists; kGraph declares an arbitrary DAG from named
 /// nodes with roles and typed edges. Every kind lowers through the same
-/// code to one ServiceGraph — a chain is just the degenerate DAG.
+/// code to one ServiceGraph — a chain is just the degenerate DAG. The
+/// balancer policy applies to every node of every kind.
 struct TopologySpec {
   enum class Kind { kChain3, kChain4, kGraph };
 
@@ -71,6 +73,7 @@ struct TopologySpec {
   Kind kind = Kind::kChain3;
   std::vector<Node> nodes;  // kGraph only; node 0 = client-facing root
   std::vector<Edge> edges;  // kGraph only; declaration order = edge ids
+  ntier::LbPolicy lb_policy = ntier::LbPolicy::kRoundRobin;
 
   bool operator==(const TopologySpec&) const = default;
 };
@@ -82,13 +85,6 @@ struct TopologySpec {
 /// (unknown role, duplicate/undeclared node names, cycles, ...).
 ntier::ServiceGraph build_service_graph(const TopologySpec& spec, HardwareConfig hw,
                                         SoftAllocation soft, int max_vms_per_tier = 8);
-
-/// The paper's alternative 4-tier deployment (web/app/db-lb/db with a
-/// near-zero-demand HAProxy pass-through that is never scaled), expressed as
-/// a degenerate chain graph: edges web→app (1 call), app→lb (the servlet's
-/// queries, throttled by the managed DB connection pool), lb→db (1 call).
-ntier::ServiceGraph rubbos_4tier_graph(HardwareConfig hw, SoftAllocation soft,
-                                       int max_vms_per_tier = 8);
 
 /// Reference concurrency models built from the ground-truth parameters —
 /// what offline training recovers; used to seed DCM in tests/benches that

@@ -13,6 +13,7 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "core/experiment.h"
+#include "core/topologies.h"
 #include "scenario/registry.h"
 #include "scenario/result_writer.h"
 #include "scenario/sweep.h"
@@ -211,14 +212,47 @@ std::vector<Claim> table1(bool print) {
       {"mysql", "MySQL", 2, core::kDbVisitRatio, 62.0, 36.0,
        {2, 4, 8, 12, 16, 20, 24, 28, 32, 36, 42, 48, 56, 64, 72, 80, 96, 110, 130}},
   };
+  // One matching-pool JMeter sweep per deployment (the app pool follows the
+  // offered users, the paper's training discipline), each point on its own
+  // seed; all 37 points run as one grid.
+  SweepTable sweep{.seed_per_row = true};
+  for (const Training& spec : trainings) {
+    for (const int c : spec.offered) {
+      const std::string users = std::to_string(c);
+      sweep.rows.push_back({users,
+                            {{"workload.users", users}, {"soft.app_threads", users}},
+                            std::string("table1-") + spec.id});
+    }
+  }
+  const Grid grid = run_grid(sweep);
   if (print) std::puts("=== Table I: concurrency-aware model training ===\n");
   std::vector<Claim> claims;
+  size_t point = 0;  // the spec's first row in the grid
   for (const Training& spec : trainings) {
-    const core::ModelTraining t = core::train_tier_model(
-        get_scenario(std::string("table1-") + spec.id).experiment(), spec.tier,
-        spec.visit_ratio, spec.concurrency_cap, spec.offered);
-    const auto& n = t.normalized;
-    const auto& k = t.known_s0;
+    const core::ExperimentConfig base =
+        get_scenario(std::string("table1-") + spec.id).experiment();
+    const ntier::ServiceGraph graph = core::build_service_graph(
+        base.topology, base.hardware, base.soft, base.max_vms_per_tier);
+    const ntier::TierConfig& tier = graph.node(spec.tier).tier;
+    // Train on the points whose post-warmup per-server concurrency at the
+    // tier lies in [0.8, concurrency_cap].
+    const sim::SimTime warmup = sim::from_seconds(base.warmup_seconds);
+    std::vector<model::TrainingSample> samples;
+    double max_concurrency = 0.0;
+    for (const size_t end = point + spec.offered.size(); point < end; ++point) {
+      const R& r = grid.at(point);
+      metrics::Welford conc;
+      for (const auto& bucket : r.tiers[spec.tier].concurrency.buckets()) {
+        if (bucket.start >= warmup) conc.merge(bucket.stat);
+      }
+      const double per_server = conc.mean() / std::max(1, tier.initial_vms);
+      if (per_server < 0.8 || per_server > spec.concurrency_cap) continue;
+      samples.push_back({std::max(1.0, per_server), r.mean_throughput});
+      max_concurrency = std::max(max_concurrency, per_server);
+    }
+    const model::Trainer trainer(/*servers=*/1, spec.visit_ratio);
+    const model::TrainedModel n = trainer.fit_normalized(samples);
+    const model::TrainedModel k = trainer.fit_with_known_s0(tier.server.cpu.params.s0, samples);
     // Eq. 7 is nearly flat around the knee (<2% between N_b/2 and 2·N_b with
     // the paper's parameters), so N_b is weakly identified from throughput;
     // what matters for control is that the fitted optimum sits on the plateau.
@@ -238,7 +272,7 @@ std::vector<Claim> table1(bool print) {
       row("N_b", n.optimal_concurrency(), k.optimal_concurrency(), 1);
       row("X_max (req/s)", n.max_throughput(), k.max_throughput(), 1);
       std::printf("--- %s model (paper N_b = %.0f, trained on %zu samples, max conc %.0f) ---\n",
-                  spec.model, spec.paper_nb, t.samples, t.max_concurrency);
+                  spec.model, spec.paper_nb, samples.size(), max_concurrency);
       table.print();
       std::printf("plateau check: X(fitted N_b)=%.1f vs X(paper N_b)=%.1f (%.2f%% apart)\n\n",
                   x_fit, x_paper, plateau_gap);
@@ -391,23 +425,18 @@ std::vector<Claim> ablation(bool print) {
            {{"correct models", {}, "fig5"},
             {"wrong models (N_b 200/160)", {{"controller.online_estimation", "false"}}},
             {"wrong models + online refit", {{"controller.online_estimation", "true"}}}}});
-  // A2 carries no claim, so it runs only when printed: the balancer policy
-  // is a topology-level knob, compared at a fixed 1/2/1 allocation.
+  // A2 carries no claim, so it runs only when printed: fig4b's 1/2/1
+  // deployment at 400 users with the model-optimal pools, one row per
+  // balancer policy.
   if (print) {
-    std::puts("--- A2: static allocation sensitivity at fixed 1/2/1 (LB stress) ---");
-    core::ExperimentConfig config;
-    config.hardware = {1, 2, 1};
-    config.soft = {1000, 100, 18};
-    config.workload = core::WorkloadSpec::rubbos(400);
-    config.duration_seconds = 150.0;
-    config.warmup_seconds = 50.0;
-    TextTable table({"lb_policy", "x_req_s", "rt_mean_ms"});
-    for (const auto policy : {ntier::LbPolicy::kRoundRobin, ntier::LbPolicy::kLeastConnections}) {
-      const core::SweepPoint p = core::run_with_lb_policy(config, policy);
-      table.add_row({policy == ntier::LbPolicy::kRoundRobin ? "round-robin" : "least-conn",
-                     format_number(p.throughput, 1), ms(p.response_time)});
-    }
-    table.print();
+    const auto policy = [](const char* name) {
+      return Variant{name,
+                     {{"workload.users", "400"},
+                      {"soft.db_connections", "18"},
+                      {"topology.lb_policy", name}}};
+    };
+    section("--- A2: static allocation sensitivity at fixed 1/2/1 (LB stress) ---",
+            {"fig4b", "lb_policy", {policy("round-robin"), policy("least-conn")}});
   }
   const R& dcm = levels.at(2);
   const auto best = [&levels](double R::*field) {

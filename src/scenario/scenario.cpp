@@ -151,10 +151,12 @@ std::string encode(const std::string& value) { return value; }
 constexpr const char* kWorkloadKinds[] = {"jmeter", "rubbos", "trace"};
 constexpr const char* kControllerKinds[] = {"none", "ec2", "dcm", "predictive", "queueing", "pi"};
 constexpr const char* kTopologyKinds[] = {"chain3", "chain4", "graph"};
+constexpr const char* kLbPolicies[] = {"round-robin", "least-conn"};
 
 std::span<const char* const> spellings(WorkloadKind) { return kWorkloadKinds; }
 std::span<const char* const> spellings(ControllerKind) { return kControllerKinds; }
 std::span<const char* const> spellings(TopologyKind) { return kTopologyKinds; }
+std::span<const char* const> spellings(ntier::LbPolicy) { return kLbPolicies; }
 
 template <class E>
   requires std::is_enum_v<E>
@@ -174,7 +176,8 @@ void decode(const Config& c, const Key& k, E& out) {
     }
     expected += (i == 0 ? "" : "|") + std::string(spellings(out)[i]);
   }
-  fail("unknown " + std::string(k.section) + " kind '" + name + "' (expected " + expected + ")");
+  fail("unknown " + std::string(k.section) + " " + k.key + " '" + name + "' (expected " +
+       expected + ")");
 }
 
 // Topology lists: "name:role, ..." and "from->to:calls[:managed], ..." with
@@ -326,6 +329,8 @@ constexpr Key kKeys[] = {
      bind<&S::topology, &core::TopologySpec::nodes>()},
     {"topology", "edges", {.topologies = bits(TopologyKind::kGraph)},
      bind<&S::topology, &core::TopologySpec::edges>()},
+    {"topology", "lb_policy", {}, bind<&S::topology, &core::TopologySpec::lb_policy>(), {},
+     kOmitDefault},
 
     {"workload", "users", {.workloads = bits(WorkloadKind::kJmeter, WorkloadKind::kRubbos)},
      bind<&S::workload, &WorkloadDecl::users>(), at_least(0)},

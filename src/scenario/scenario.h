@@ -86,9 +86,10 @@ struct Scenario {
   /// canonical as an *absent* section; chain4 emits only its kind; graph
   /// kinds spell out nodes ("name:role, ...") and edges
   /// ("from->to:calls[:managed], ..." with integer calls or `q` = the
-  /// sampled servlet's query count). Parsed graphs are validated eagerly:
-  /// from_config builds the ServiceGraph once, so cyclic or malformed
-  /// topologies fail at parse time, not at run time.
+  /// sampled servlet's query count). `lb_policy` (round-robin, the default
+  /// and omitted, or least-conn) balances every tier of every kind. Parsed
+  /// graphs are validated eagerly: from_config builds the ServiceGraph once,
+  /// so cyclic or malformed topologies fail at parse time, not at run time.
   core::TopologySpec topology;
   WorkloadDecl workload;
   ControllerDecl controller;

@@ -2,7 +2,12 @@
 // series and the simulation's own bookkeeping.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/experiment.h"
+#include "scenario/sweep.h"
 
 namespace dcm::core {
 namespace {
@@ -70,21 +75,36 @@ TEST(ExperimentRunnerTest, UtilTimelineSaturatesUnderOverload) {
 }
 
 TEST(ExperimentRunnerTest, SweepMeasuresMatchingConcurrency) {
-  ExperimentConfig base;
-  base.hardware = {1, 1, 1};
-  base.soft = {1000, 100, 400};
+  // Two JMeter points through the sweep runner, each with the app pool
+  // matched to the offered users and on its own seed (Table I's discipline).
+  scenario::Scenario base;
+  base.soft.db_connections = 400;
+  base.workload.kind = scenario::WorkloadDecl::Kind::kJmeter;
   base.duration_seconds = 60.0;
   base.warmup_seconds = 20.0;
-  const auto points = jmeter_concurrency_sweep(base, {4, 16}, /*match_app_pools=*/true);
-  ASSERT_EQ(points.size(), 2u);
-  for (const auto& point : points) {
-    ASSERT_EQ(point.per_server_concurrency.size(), 3u);
-    // With matched pools and zero think, tomcat concurrency tracks offered.
-    EXPECT_NEAR(point.per_server_concurrency[1], point.concurrency,
-                0.25 * point.concurrency + 0.5);
-    EXPECT_GT(point.throughput, 0.0);
+  std::vector<scenario::PlannedRun> planned;
+  for (const int users : {4, 16}) {
+    const std::string n = std::to_string(users);
+    scenario::PlannedRun run{planned.size(), {}, {{"workload.users", n}, {"soft.app_threads", n}}};
+    run.scenario = base.with_overrides(run.overrides);
+    run.scenario.seed = derive_seed(base.seed, static_cast<uint64_t>(users));
+    planned.push_back(std::move(run));
   }
-  EXPECT_GT(points[1].throughput, points[0].throughput);
+  const auto runs = scenario::SweepRunner(std::move(planned), /*jobs=*/2).run();
+  ASSERT_EQ(runs.size(), 2u);
+  for (const auto& run : runs) {
+    const ExperimentResult& result = run.result;
+    ASSERT_EQ(result.tiers.size(), 3u);
+    metrics::Welford tomcat;
+    for (const auto& bucket : result.tiers[1].concurrency.buckets()) {
+      if (bucket.start >= sim::from_seconds(base.warmup_seconds)) tomcat.merge(bucket.stat);
+    }
+    // With matched pools and zero think, tomcat concurrency tracks offered.
+    const double offered = run.scenario.workload.users;
+    EXPECT_NEAR(tomcat.mean(), offered, 0.25 * offered + 0.5);
+    EXPECT_GT(result.mean_throughput, 0.0);
+  }
+  EXPECT_GT(runs[1].result.mean_throughput, runs[0].result.mean_throughput);
 }
 
 TEST(ExperimentRunnerTest, ActionCountFiltersByTier) {

@@ -1,5 +1,5 @@
 // The paper's alternative 4-tier deployment (web/app/db-lb/db), expressed
-// as a degenerate chain graph (rubbos_4tier_graph).
+// as a degenerate chain graph (TopologySpec kind chain4).
 #include <gtest/gtest.h>
 
 #include "bus/broker.h"
@@ -11,6 +11,11 @@
 namespace dcm {
 namespace {
 
+ntier::ServiceGraph chain4(int app_threads = 100) {
+  return core::build_service_graph({core::TopologySpec::Kind::kChain4, {}, {}}, {1, 1, 1},
+                                   {1000, app_threads, 80});
+}
+
 std::unique_ptr<workload::ClosedLoopGenerator> make_4tier_clients(
     sim::Engine& engine, ntier::NTierApp& app, const workload::ServletCatalog& catalog,
     int users) {
@@ -19,7 +24,7 @@ std::unique_ptr<workload::ClosedLoopGenerator> make_4tier_clients(
 
 TEST(FourTierTest, TopologyHasFourTiersWithLbBetweenAppAndDb) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}), 1);
+  ntier::NTierApp app(engine, chain4(), 1);
   ASSERT_EQ(app.tier_count(), 4u);
   EXPECT_EQ(app.tier(0).name(), "apache");
   EXPECT_EQ(app.tier(1).name(), "tomcat");
@@ -34,7 +39,7 @@ TEST(FourTierTest, TopologyHasFourTiersWithLbBetweenAppAndDb) {
 
 TEST(FourTierTest, RequestsFlowThroughAllFourTiers) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}), 1);
+  ntier::NTierApp app(engine, chain4(), 1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
   auto generator = make_4tier_clients(engine, app, catalog, 100);
   generator->start();
@@ -55,7 +60,7 @@ TEST(FourTierTest, CatalogClientsReachTheDbTier) {
   // 3-tier chain, so on chain4 the lb→db edge got 0 calls (MySQL was never
   // visited) and HAProxy received the db demand scale.
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}), 1);
+  ntier::NTierApp app(engine, chain4(), 1);
   const workload::ServletCatalog catalog = workload::ServletCatalog::browse_only_mix();
   auto generator = workload::make_rubbos_clients(engine, app, catalog, 20);
   generator->start();
@@ -80,7 +85,7 @@ TEST(FourTierTest, LbTierAddsNegligibleLatency) {
   }
   {
     sim::Engine engine;
-    ntier::NTierApp app(engine, core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80}), 1);
+    ntier::NTierApp app(engine, chain4(), 1);
     auto generator = make_4tier_clients(engine, app, catalog, 100);
     generator->start();
     engine.run_until(sim::from_seconds(90.0));
@@ -91,7 +96,7 @@ TEST(FourTierTest, LbTierAddsNegligibleLatency) {
 
 TEST(FourTierTest, DcmControlsTheDbTierThroughTheLb) {
   sim::Engine engine;
-  ntier::NTierApp app(engine, core::rubbos_4tier_graph({1, 1, 1}, {1000, 200, 80}), 1);
+  ntier::NTierApp app(engine, chain4(/*app_threads=*/200), 1);
   bus::Broker broker;
   ntier::MonitorFleet fleet(engine, app, broker);
 

@@ -46,7 +46,8 @@ TEST(ServiceGraphTest, Chain3LowersToDegenerateGraph) {
 }
 
 TEST(ServiceGraphTest, Chain4AddsTheHaproxyHop) {
-  const ServiceGraph graph = core::rubbos_4tier_graph({1, 1, 1}, {1000, 100, 80});
+  const ServiceGraph graph = core::build_service_graph(
+      {core::TopologySpec::Kind::kChain4, {}, {}}, {1, 1, 1}, {1000, 100, 80});
   ASSERT_EQ(graph.node_count(), 4u);
   ASSERT_EQ(graph.edge_count(), 3u);
   EXPECT_TRUE(graph.is_chain());

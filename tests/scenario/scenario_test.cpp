@@ -350,6 +350,42 @@ TEST(ScenarioTest, TopologyGraphErrorsAreEager) {
       std::runtime_error);
 }
 
+TEST(ScenarioTest, TopologyLbPolicyRoundTripsAndReachesEveryNode) {
+  // Round-robin is the default and canonical as an absent key.
+  EXPECT_EQ(Scenario::parse("").to_text().find("lb_policy"), std::string::npos);
+  for (const std::string kind : {"chain3", "chain4", "graph"}) {
+    SCOPED_TRACE(kind);
+    std::string text = "[topology]\nkind = " + kind + "\nlb_policy = least-conn\n";
+    if (kind == "graph") {
+      text += "nodes = apache:web, tomcat:app, mysql:db\n"
+              "edges = apache->tomcat:1, tomcat->mysql:q:managed\n";
+    }
+    const Scenario scenario = Scenario::parse(text);
+    EXPECT_EQ(scenario.topology.lb_policy, ntier::LbPolicy::kLeastConnections);
+    EXPECT_NE(scenario.to_text().find("lb_policy = least-conn"), std::string::npos);
+    EXPECT_TRUE(Scenario::parse(scenario.to_text()) == scenario);
+    // The chain kinds lower through a fresh graph spec, which must keep it.
+    const core::ExperimentConfig experiment = scenario.experiment();
+    const ntier::ServiceGraph graph =
+        core::build_service_graph(experiment.topology, experiment.hardware, experiment.soft);
+    EXPECT_EQ(graph.node_count(), kind == "chain4" ? 4u : 3u);
+    for (size_t i = 0; i < graph.node_count(); ++i) {
+      EXPECT_EQ(graph.node(i).tier.lb_policy, ntier::LbPolicy::kLeastConnections) << i;
+    }
+  }
+}
+
+TEST(ScenarioTest, UnknownLbPolicyIsRejectedWithTheSpellings) {
+  try {
+    Scenario::parse("[topology]\nlb_policy = random\n");
+    ADD_FAILURE() << "expected a scenario: error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'random' (expected round-robin|least-conn)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioTest, GraphScenariosInTheRegistryParse) {
   const Scenario diamond = get_scenario("diamond-cache");
   EXPECT_EQ(diamond.topology.kind, core::TopologySpec::Kind::kGraph);
@@ -501,6 +537,7 @@ void scramble(Scenario& s) {
   s.hardware = {2, 3, 2};
   s.soft = {900, 50, 40};
   if (s.topology.kind != core::TopologySpec::Kind::kGraph) add_graph(s);
+  s.topology.lb_policy = ntier::LbPolicy::kLeastConnections;
   s.workload.users = 64;
   s.workload.think_seconds = 1.5;
   s.workload.trace = "big-spike";
